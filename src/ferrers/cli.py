@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import random
 import sys
 from fractions import Fraction
 
@@ -185,14 +184,14 @@ def _cmd_corollary(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # Each verb takes --format plus only the options its handler reads.
+    fmt, tol, cap, fault = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    fmt.add_argument(
         "--format", choices=("json", "csv", "plain"), default="json", help="output format"
     )
-    common.add_argument("--tol", type=float, default=1e-9, help="floating comparison tolerance")
-    common.add_argument("--cap", type=int, default=None, help="enumeration / brute-force cap")
-    common.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
-    common.add_argument(
+    tol.add_argument("--tol", type=float, default=1e-9, help="floating comparison tolerance")
+    cap.add_argument("--cap", type=int, default=None, help="enumeration / brute-force cap")
+    fault.add_argument(
         "--fault-inject",
         action="store_true",
         help="corrupt the computed tree count by one (testing only)",
@@ -210,24 +209,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    sub.add_parser("tau", parents=[common, graph_in], help="spanning-tree count").set_defaults(
+    sub.add_parser("tau", parents=[fmt, graph_in], help="spanning-tree count").set_defaults(
         handler=_cmd_tau
     )
     sub.add_parser(
-        "invariant", parents=[common, graph_in], help="degree product over m*n"
+        "invariant", parents=[fmt, graph_in], help="degree product over m*n"
     ).set_defaults(handler=_cmd_invariant)
     sub.add_parser(
-        "check", parents=[common, graph_in], help="full verification record for one graph"
+        "check", parents=[fmt, tol, fault, graph_in], help="full verification record for one graph"
     ).set_defaults(handler=_cmd_check)
     sub.add_parser(
-        "spectrum", parents=[common, graph_in], help="eigenvalues and majorization report of M"
+        "spectrum", parents=[fmt, tol, graph_in], help="eigenvalues and majorization report of M"
     ).set_defaults(handler=_cmd_spectral)
     sub.add_parser(
-        "majorize", parents=[common, graph_in], help="majorization report of M"
+        "majorize", parents=[fmt, tol, graph_in], help="majorization report of M"
     ).set_defaults(handler=_cmd_spectral)
 
     overlap = sub.add_parser(
-        "overlap", parents=[common], help="projection overlap trace and defect"
+        "overlap", parents=[fmt], help="projection overlap trace and defect"
     )
     overlap.add_argument("I", help="comma-separated x-indices, e.g. 0,1")
     overlap.add_argument("T", help="comma-separated x-indices, e.g. 1,2")
@@ -235,17 +234,17 @@ def build_parser() -> argparse.ArgumentParser:
     overlap.set_defaults(handler=_cmd_overlap)
 
     gen = sub.add_parser(
-        "ferrers-gen", parents=[common], help="staircase graph from column heights"
+        "ferrers-gen", parents=[fmt], help="staircase graph from column heights"
     )
     gen.add_argument("heights", help="weakly decreasing heights, e.g. 3,2,1")
     gen.set_defaults(handler=_cmd_ferrers_gen)
 
     sub.add_parser(
-        "ferrers-detect", parents=[common, graph_in], help="test the nested-neighborhood shape"
+        "ferrers-detect", parents=[fmt, graph_in], help="test the nested-neighborhood shape"
     ).set_defaults(handler=_cmd_ferrers_detect)
 
     enum = sub.add_parser(
-        "enumerate", parents=[common], help="stream all connected graphs on labeled parts"
+        "enumerate", parents=[fmt, cap], help="stream all connected graphs on labeled parts"
     )
     enum.add_argument("m", type=int)
     enum.add_argument("n", type=int)
@@ -255,7 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     enum.set_defaults(handler=_cmd_enumerate)
 
     ver = sub.add_parser(
-        "verify", parents=[common], help="exhaustive campaign over a rectangle of part sizes"
+        "verify",
+        parents=[fmt, tol, cap, fault],
+        help="exhaustive campaign over a rectangle of part sizes",
     )
     ver.add_argument("m_max", type=int)
     ver.add_argument("n_max", type=int)
@@ -264,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "corollary",
-        parents=[common, graph_in],
+        parents=[fmt, cap, graph_in],
         help="weighted bound at the weights on the last input line",
     ).set_defaults(handler=_cmd_corollary)
 
@@ -277,8 +278,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if args.seed is not None:
-        random.seed(args.seed)
     try:
         return args.handler(args)
     except (TheoremViolation, IdentityViolation) as exc:

@@ -2,8 +2,10 @@
 
 Determinants clear denominators row by row and then run fraction-free Bareiss
 elimination on integers, so no floating point enters any certified value.
-The projection builders are cached: the matrices are immutable and the same
-subset shows up over and over during exhaustive sweeps.
+The Laplacian, its Schur complement L_X and the matrix M are each built once,
+as integer rows (over a common denominator for L_X and M).  The Fraction
+projection matrices are the readable reference for the projection algebra;
+they are cached because they are immutable.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import DimensionError, DisconnectedGraph, IdentityViolation, IsolatedVertex
-from .graphs import BipartiteGraph, bit_indices, degrees, is_connected
+from .graphs import BipartiteGraph, bit_indices, degrees, is_connected, write_graph
 
 # Exactness carrier.  Fraction already keeps gcd(p, q) = 1 and q > 0.
 Rational = Fraction
@@ -214,8 +216,8 @@ class RationalMatrix:
         )
 
 
-def laplacian(g: BipartiteGraph) -> RationalMatrix:
-    """Combinatorial Laplacian on X then Y: degrees on the diagonal, -1 per edge."""
+def laplacian_rows(g: BipartiteGraph) -> list[list[int]]:
+    """Integer Laplacian on X then Y: degrees on the diagonal, -1 per edge."""
     dd = degrees(g)
     d = g.m + g.n
     rows = [[0] * d for _ in range(d)]
@@ -226,7 +228,12 @@ def laplacian(g: BipartiteGraph) -> RationalMatrix:
         for i in bit_indices(g.nbrs[j]):
             rows[i][g.m + j] = -1
             rows[g.m + j][i] = -1
-    return RationalMatrix(rows)
+    return rows
+
+
+def laplacian(g: BipartiteGraph) -> RationalMatrix:
+    """Combinatorial Laplacian of g as an exact matrix."""
+    return RationalMatrix(laplacian_rows(g))
 
 
 @lru_cache(maxsize=None)
@@ -258,62 +265,57 @@ def projection_Q(T: int, m: int) -> RationalMatrix:
     return projection_P(T, m) + RationalMatrix.constant(m, Fraction(1, m))
 
 
-def schur_LX(g: BipartiteGraph) -> RationalMatrix:
-    """Schur complement A - B C^(-1) B^T of the Laplacian onto the X block.
+def scaled_schur(g: BipartiteGraph, *, shift: bool = False) -> tuple[int, list[list[int]]]:
+    """Common denominator den and the integer rows of den * L_X, or of den * M with shift.
 
-    Computed twice, once from the block formula and once as the sum of the
-    neighborhood projections, and the two must agree entry for entry.
+    L_X = A - B C^(-1) B^T is the Schur complement of the Laplacian onto the X
+    block and M = L_X + (n/m) J.  den = lcm of the y-degrees, with m added
+    when shift is set, so every entry is an integer.  The block formula and
+    the sum of the neighborhood projections P_(T_j) share every term but the
+    diagonal den * a_i: the block formula takes a_i from the degrees, the
+    projection sum counts the neighborhoods holding x_i.  The two counts are
+    compared, and a mismatch raises IdentityViolation naming the graph.
     """
     dd = degrees(g)
     if 0 in dd.b:
         raise IsolatedVertex("a y-vertex has degree zero, so the C block is singular")
     m = g.m
-    # Block route: accumulate B C^(-1) B^T over the common denominator lcm(b).
-    den = lcm(*dd.b)
-    weights = [den // bj for bj in dd.b]
-    numer = [[0] * m for _ in range(m)]
-    for t, w in zip(g.nbrs, weights):
+    den = lcm(m, *dd.b) if shift else lcm(*dd.b)
+    base = den * g.n // m if shift else 0
+    rows = [[base] * m for _ in range(m)]
+    member = [0] * m
+    for t, bj in zip(g.nbrs, dd.b):
+        w = den // bj
         members = list(bit_indices(t))
         for i in members:
-            row = numer[i]
+            member[i] += 1
+            row = rows[i]
             for k in members:
-                row[k] += w
-    block = RationalMatrix(
-        [
-            [
-                (dd.a[i] if i == k else 0) - Fraction(numer[i][k], den)
-                for k in range(m)
-            ]
-            for i in range(m)
-        ]
-    )
-    proj_sum = RationalMatrix.zeros(m)
-    for t in g.nbrs:
-        proj_sum = proj_sum + projection_P(t, m)
-    if block != proj_sum:
+                row[k] -= w
+    if list(dd.a) != member:
         raise IdentityViolation(
-            "Schur complement disagrees with the projection sum:\n"
-            f"{block.dump()}\nvs\n{proj_sum.dump()}"
+            f"block formula degrees {list(dd.a)} disagree with the projection sum "
+            f"counts {member} for:\n{write_graph(g)}"
         )
-    return block
+    for i, a in enumerate(dd.a):
+        rows[i][i] += den * a
+    return den, rows
+
+
+def _over(den: int, rows: list[list[int]]) -> RationalMatrix:
+    return RationalMatrix([[Fraction(x, den) for x in row] for row in rows])
+
+
+def schur_LX(g: BipartiteGraph) -> RationalMatrix:
+    """Schur complement A - B C^(-1) B^T of the Laplacian onto the X block."""
+    return _over(*scaled_schur(g))
 
 
 def matrix_M(g: BipartiteGraph) -> RationalMatrix:
     """Shifted Schur complement L_X + (n/m) J, the positive definite reduction target.
 
-    Also computed as the sum of the rank-|T_j| projections Q over the
-    neighborhoods; the two routes must agree exactly.
+    Equal to the sum of the rank-|T_j| projections Q over the neighborhoods.
     """
     if not is_connected(g):
         raise DisconnectedGraph("M is only defined for connected graphs")
-    lx = schur_LX(g)
-    shifted = lx + RationalMatrix.constant(g.m, Fraction(g.n, g.m))
-    q_sum = RationalMatrix.zeros(g.m)
-    for t in g.nbrs:
-        q_sum = q_sum + projection_Q(t, g.m)
-    if shifted != q_sum:
-        raise IdentityViolation(
-            "projection sum disagrees with L_X + (n/m)J:\n"
-            f"{shifted.dump()}\nvs\n{q_sum.dump()}"
-        )
-    return shifted
+    return _over(*scaled_schur(g, shift=True))

@@ -236,6 +236,9 @@ def majorization_report(
     failure raises with the offending graph serialized, since it would
     contradict the tree-count bound itself.  M may be passed in when already
     computed.
+
+    Partial sums and the smallest eigenvalue allow an absolute tol; the trace
+    gap allows tol * max(1, sum(a)), both for majorizes and for the raise.
     """
     if not is_connected(g):
         raise DisconnectedGraph("majorization is stated for connected graphs")
@@ -258,7 +261,8 @@ def majorization_report(
         gaps.append(lam_sum - deg_sum)
         defects.append(sum((overlap_defect(prefix, t) for t in g.nbrs), Fraction(0)))
     trace_gap = abs(sum(spectrum.values) - sum(a))
-    majorizes = all(gap >= -tol for gap in gaps) and trace_gap <= tol
+    trace_tol = tol * max(1.0, float(sum(a)))
+    majorizes = all(gap >= -tol for gap in gaps) and trace_gap <= trace_tol
     report = SpectralReport(
         spectrum=spectrum,
         a_sorted=a_sorted,
@@ -273,7 +277,7 @@ def majorization_report(
                 f"partial sum gap {gap!r} at k={k} fell below the defect sum "
                 f"{defect} for:\n{write_graph(g)}"
             )
-    if trace_gap > tol * max(1.0, float(sum(a))):
+    if trace_gap > trace_tol:
         raise IdentityViolation(
             f"trace gap {trace_gap!r} out of tolerance for:\n{write_graph(g)}"
         )

@@ -13,58 +13,31 @@ from .errors import (
     IsolatedVertex,
 )
 from .graphs import BipartiteGraph, degrees, effective_cap, is_connected
-from .linalg import RationalMatrix, bareiss_det, matrix_M
+from .linalg import RationalMatrix, bareiss_det, laplacian_rows, matrix_M
 
 SpanningTree = frozenset  # of (x index, y index) edge pairs
-
-
-def _laplacian_minor(g: BipartiteGraph, drop: int) -> list[list[int]]:
-    # Integer Laplacian rows with row and column `drop` removed.
-    m, n = g.m, g.n
-    d = m + n
-    dd = degrees(g)
-    diag = dd.a + dd.b
-    adj = [[0] * n for _ in range(m)]
-    for j, t in enumerate(g.nbrs):
-        tt = t
-        while tt:
-            low = tt & -tt
-            adj[low.bit_length() - 1][j] = 1
-            tt ^= low
-    rows = []
-    for r in range(d):
-        if r == drop:
-            continue
-        row = []
-        for c in range(d):
-            if c == drop:
-                continue
-            if r == c:
-                row.append(diag[r])
-            elif r < m <= c:
-                row.append(-adj[r][c - m])
-            elif c < m <= r:
-                row.append(-adj[c][r - m])
-            else:
-                row.append(0)
-        rows.append(row)
-    return rows
 
 
 def tau_matrix_tree(g: BipartiteGraph, *, check_all_deletions: bool = False) -> int:
     """Number of spanning trees, as the Laplacian minor determinant at vertex 0.
 
     The count is an exact nonnegative integer; a negative determinant would
-    mean a bug and is a hard error.  With check_all_deletions the minor is
-    recomputed for every deletion index and all m+n values must agree.
+    mean a bug and is a hard error.  With check_all_deletions the minor at
+    every deletion index is sliced from the same Laplacian and all m+n
+    determinants must agree.
     Disconnected graphs give 0, not an error.
     """
-    t = bareiss_det(_laplacian_minor(g, 0))
+    lap = laplacian_rows(g)
+
+    def minor(drop: int) -> list[list[int]]:
+        return [row[:drop] + row[drop + 1 :] for r, row in enumerate(lap) if r != drop]
+
+    t = bareiss_det(minor(0))
     if t < 0:
         raise IdentityViolation(f"negative Laplacian minor determinant {t}")
     if check_all_deletions:
         for drop in range(1, g.m + g.n):
-            other = bareiss_det(_laplacian_minor(g, drop))
+            other = bareiss_det(minor(drop))
             if other != t:
                 raise IdentityViolation(
                     f"minor determinant depends on the deleted vertex: "

@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
-from multiprocessing import Pool
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -74,15 +73,18 @@ def verify_graph(
 
     The inequality and equality verdicts compare tau*m*n against the degree
     product as exact integers.  The reduction identity and the majorization
-    certificate run as well and land in their boolean fields.  fault_inject
+    certificate run as well and land in their boolean fields; a failed
+    cross-check while building M counts against the reduction, and the
+    majorization report then builds M itself.  fault_inject
     corrupts tau by one after the cross-checks, which is how campaign failure
     paths get exercised.
     """
     if not is_connected(g):
         raise DisconnectedGraph("verification needs a connected graph")
     tau = tau_matrix_tree(g)
-    M = matrix_M(g)
+    M = None
     try:
+        M = matrix_M(g)
         reduction_ok = check_reduction(g, tau=tau, M=M)
     except IdentityViolation:
         reduction_ok = False
@@ -275,6 +277,8 @@ def verify_pairs(
                 emit(rec)
 
     if workers is not None and workers > 1 and len(tasks) > 1:
+        from multiprocessing import Pool  # only campaigns with workers pay for the import
+
         with Pool(processes=workers) as pool:
             for chunk in pool.imap(_run_chunk, tasks):
                 absorb(chunk)
@@ -319,7 +323,7 @@ def verify_range(
     if m_max < 1 or n_max < 1:
         raise ValueError(f"bad range ({m_max}, {n_max})")
     pairs = [(m, n) for m in range(1, m_max + 1) for n in range(1, n_max + 1)]
-    summary = verify_pairs(
+    return verify_pairs(
         pairs,
         cap=cap,
         tol=tol,
@@ -328,8 +332,6 @@ def verify_range(
         fail_fast=True,
         emit=emit,
     )
-    summary.dims = (m_max, n_max)
-    return summary
 
 
 def corollary_check(

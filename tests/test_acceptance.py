@@ -134,8 +134,8 @@ def test_criterion_5_projection_algebra(sweep):
             check(t, m)
     for m in range(9, 17):
         check((1 << m) - 1, m)
-    # The decomposition sum Q = M is asserted inside matrix_M on every sweep
-    # graph; recompute it independently on two full families as a spot weld.
+    # matrix_M checks the block formula against the projection sum on every
+    # sweep graph; resum the Fraction Q projections on two full families.
     resummed = 0
     for m, n in ((3, 3), (2, 4)):
         for g in enumerate_connected(m, n):

@@ -279,5 +279,17 @@ class TestErrorPaths:
         assert main(["spectrum"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_seed_flag_accepted(self, hexfile):
-        assert main(["tau", hexfile, "--seed", "7"]) == 0
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tau", "HEX", "--tol", "1e-6"],
+            ["invariant", "HEX", "--cap", "4"],
+            ["spectrum", "HEX", "--fault-inject"],
+            ["enumerate", "2", "2", "--tol", "1e-6"],
+            ["verify", "1", "1", "--seed", "7"],
+            ["overlap", "0,1", "1,2", "3", "--cap", "4"],
+        ],
+    )
+    def test_flag_of_another_verb_rejected(self, argv, hexfile):
+        # Each command succeeds without its last flag, which that verb does not take.
+        assert main([hexfile if a == "HEX" else a for a in argv]) == 2

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ferrers.errors import DimensionError, DisconnectedGraph, IsolatedVertex
-from ferrers.graphs import BipartiteGraph, degrees, is_connected
+from ferrers.errors import DimensionError, DisconnectedGraph, IdentityViolation, IsolatedVertex
+from ferrers.graphs import BipartiteGraph, DegreeData, degrees, is_connected
 from ferrers.linalg import (
     RationalMatrix,
     bareiss_det,
@@ -281,6 +281,19 @@ class TestMatrixM:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraph):
             matrix_M(BipartiteGraph(2, 2, (0b01, 0b10)))
+
+    def test_block_formula_checked_against_projection_sum(self, monkeypatch):
+        # Corrupt one x-degree: the block diagonal then disagrees with the
+        # diagonal counted from neighborhood membership, and the graph is named.
+        def corrupted(g):
+            dd = degrees(g)
+            return DegreeData(dd.a[:-1] + (dd.a[-1] + 1,), dd.b)
+
+        monkeypatch.setattr("ferrers.linalg.degrees", corrupted)
+        with pytest.raises(IdentityViolation, match="3 3\n0 1\n1 2\n0 2\n"):
+            matrix_M(HEX)
+        with pytest.raises(IdentityViolation):
+            schur_LX(HEX)
 
     def test_hexagon_adjugate_of_reduced_matrix(self):
         # Reduced matrix of the hexagon has adjugate (3/4) J: rank-one, uniform.

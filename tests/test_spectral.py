@@ -274,6 +274,15 @@ class TestMajorization:
                 for gap, defect in zip(rep.partial_gaps, rep.defect_sums):
                     assert gap >= float(defect) - 1e-9
 
+    def test_trace_gap_tolerance_is_relative(self):
+        # tol is scaled by max(1, sum(a)) = 6 on the hexagon, for the verdict
+        # and the raise alike: a trace gap of 3 tol passes both.
+        tol = 1e-9
+        M = matrix_M(HEX) + RationalMatrix.identity(3).scale(Fraction(tol))
+        rep = majorization_report(HEX, tol, M=M)
+        assert tol < rep.trace_gap < 6 * tol
+        assert rep.majorizes
+
     def test_wrong_matrix_caught(self):
         # Feeding the wrong M must trip one of the exact consistency checks.
         with pytest.raises(IdentityViolation):

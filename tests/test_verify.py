@@ -1,18 +1,21 @@
 """Campaign driver: single-graph records, exhaustive sweeps, fault injection."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ferrers.errors import CapExceeded, DisconnectedGraph, TheoremViolation
+from ferrers.cli import main
+from ferrers.errors import CapExceeded, DisconnectedGraph, IdentityViolation, TheoremViolation
 from ferrers.graphs import (
     BipartiteGraph,
     PartitionSpec,
     ferrers_from_partition,
     is_connected,
     parse_graph,
+    write_graph,
 )
 from ferrers.verify import (
     corollary_check,
@@ -186,6 +189,22 @@ class TestCampaigns:
         assert s.failure_counts["oracle"] == 5
         assert "equality" in s.failure_examples
         assert "2 2" in s.failure_examples["equality"]
+
+    def test_failed_M_build_counts_against_the_reduction(self, monkeypatch, tmp_path, capsys):
+        def corrupted(g):
+            raise IdentityViolation(f"corrupted M for:\n{write_graph(g)}")
+
+        monkeypatch.setattr("ferrers.verify.matrix_M", corrupted)
+        s = verify_pairs([(3, 3)], fail_fast=False)
+        assert s.graphs_checked > 0
+        assert s.failure_counts == {"reduction": s.graphs_checked}
+        head, text = s.failure_examples["reduction"].split(":\n", 1)
+        assert head.startswith("reduction failed")
+        assert is_connected(parse_graph(text))
+        path = tmp_path / "hex.txt"
+        path.write_text(write_graph(HEX))
+        assert main(["check", str(path)]) == 1
+        assert json.loads(capsys.readouterr().out)["reduction_ok"] is False
 
     def test_summary_dict_shape(self):
         d = summary_dict(verify_range(2, 2))
