@@ -307,7 +307,11 @@ def _over(den: int, rows: list[list[int]]) -> RationalMatrix:
 
 
 def schur_LX(g: BipartiteGraph) -> RationalMatrix:
-    """Schur complement A - B C^(-1) B^T of the Laplacian onto the X block."""
+    """Schur complement A - B C^(-1) B^T of the Laplacian onto the X block.
+
+    The readable Fraction view of the rows of scaled_schur(g); the per-graph
+    checks read those integer rows directly.
+    """
     return _over(*scaled_schur(g))
 
 
@@ -315,6 +319,9 @@ def matrix_M(g: BipartiteGraph) -> RationalMatrix:
     """Shifted Schur complement L_X + (n/m) J, the positive definite reduction target.
 
     Equal to the sum of the rank-|T_j| projections Q over the neighborhoods.
+    The readable Fraction view of the rows of scaled_schur(g, shift=True);
+    verify_graph, check_reduction and majorization_report read those integer
+    rows directly.
     """
     if not is_connected(g):
         raise DisconnectedGraph("M is only defined for connected graphs")

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import lcm, sqrt
 from typing import Sequence
 
 from .errors import DisconnectedGraph, IdentityViolation, NonConvergence
 from .graphs import BipartiteGraph, degrees, is_connected, write_graph
-from .linalg import RationalMatrix, matrix_M, projection_Q, rat_str
+from .linalg import RationalMatrix, projection_Q, rat_str, scaled_schur
 
 OFF_DIAGONAL_TOL = 1e-12
 MAX_SWEEPS = 100
@@ -225,7 +225,7 @@ def majorization_report(
     g: BipartiteGraph,
     tol: float = 1e-9,
     *,
-    M: RationalMatrix | None = None,
+    scaled: tuple[int, list[list[int]]] | None = None,
 ) -> SpectralReport:
     """Check that the spectrum of M majorizes the sorted X-degrees.
 
@@ -234,19 +234,24 @@ def majorization_report(
     least the total overlap defect of [k] against the neighborhoods, the
     traces must agree, and the smallest eigenvalue must stay positive.  Any
     failure raises with the offending graph serialized, since it would
-    contradict the tree-count bound itself.  M may be passed in when already
-    computed.
+    contradict the tree-count bound itself.  scaled, the (D, rows) pair of
+    scaled_schur(g, shift=True), may be passed in when already computed; the
+    eigensolver gets the rows divided by D as floats.  Each defect sum is one
+    exact Fraction over k * L, with L the lcm of the neighborhood sizes taken
+    from g, so the lower bound does not depend on the rows passed in.
 
     Partial sums and the smallest eigenvalue allow an absolute tol; the trace
     gap allows tol * max(1, sum(a)), both for majorizes and for the raise.
     """
     if not is_connected(g):
         raise DisconnectedGraph("majorization is stated for connected graphs")
-    if M is None:
-        M = matrix_M(g)
-    spectrum = eigen_sym(M, tol)
+    den, rows = scaled_schur(g, shift=True) if scaled is None else scaled
+    spectrum = eigen_sym([[x / den for x in row] for row in rows], tol)
     m = g.m
-    a = degrees(g).a
+    dd = degrees(g)
+    a = dd.a
+    lcm_b = lcm(*dd.b)
+    weighted = [(t, lcm_b // b) for t, b in zip(g.nbrs, dd.b)]
     order = sorted(range(m), key=lambda i: (-a[i], i))
     a_sorted = tuple(a[i] for i in order)
     prefix = 0
@@ -259,7 +264,8 @@ def majorization_report(
         lam_sum += spectrum.values[k - 1]
         deg_sum += a_sorted[k - 1]
         gaps.append(lam_sum - deg_sum)
-        defects.append(sum((overlap_defect(prefix, t) for t in g.nbrs), Fraction(0)))
+        numer = sum((prefix & ~t).bit_count() * (t & ~prefix).bit_count() * w for t, w in weighted)
+        defects.append(Fraction(numer, k * lcm_b))
     trace_gap = abs(sum(spectrum.values) - sum(a))
     trace_tol = tol * max(1.0, float(sum(a)))
     majorizes = all(gap >= -tol for gap in gaps) and trace_gap <= trace_tol

@@ -13,7 +13,7 @@ from .errors import (
     IsolatedVertex,
 )
 from .graphs import BipartiteGraph, degrees, effective_cap, is_connected
-from .linalg import RationalMatrix, bareiss_det, laplacian_rows, matrix_M
+from .linalg import bareiss_det, laplacian_rows, scaled_schur
 
 SpanningTree = frozenset  # of (x index, y index) edge pairs
 
@@ -99,23 +99,28 @@ def check_reduction(
     g: BipartiteGraph,
     *,
     tau: int | None = None,
-    M: RationalMatrix | None = None,
+    scaled: tuple[int, list[list[int]]] | None = None,
 ) -> bool:
     """Exact identity tau * m * n = (prod of y-degrees) * det M.
 
-    tau and M may be passed in when already computed; both sides are compared
-    as exact rationals and a mismatch raises with the two values.
+    tau and scaled, the (D, rows) pair of scaled_schur(g, shift=True), may be
+    passed in when already computed.  det(D*M) = D^m det M is taken by
+    bareiss_det on a copy of the rows, so the identity is checked as
+    tau * m * n * D^m = (prod b) * det(D*M) in integers; a mismatch raises
+    with both sides shown as rationals.
     """
     if not is_connected(g):
         raise DisconnectedGraph("the reduction identity applies to connected graphs")
     if tau is None:
         tau = tau_matrix_tree(g)
-    if M is None:
-        M = matrix_M(g)
-    left = Fraction(tau * g.m * g.n)
-    right = prod(degrees(g).b) * M.det_exact()
+    den, rows = scaled_schur(g, shift=True) if scaled is None else scaled
+    scale = den**g.m
+    left = tau * g.m * g.n * scale
+    right = prod(degrees(g).b) * bareiss_det([row[:] for row in rows])
     if left != right:
-        raise IdentityViolation(f"tau*m*n = {left} but (prod b)*det M = {right}")
+        raise IdentityViolation(
+            f"tau*m*n = {Fraction(left, scale)} but (prod b)*det M = {Fraction(right, scale)}"
+        )
     return True
 
 

@@ -33,7 +33,7 @@ from .graphs import (
     is_ferrers,
     write_graph,
 )
-from .linalg import RationalMatrix, matrix_M, rat_str
+from .linalg import matrix_M, rat_str, scaled_schur
 from .spectral import majorization_report
 from .trees import check_reduction, tau_brute_force, tau_matrix_tree
 
@@ -73,36 +73,37 @@ def verify_graph(
 
     The inequality and equality verdicts compare tau*m*n against the degree
     product as exact integers.  The reduction identity and the majorization
-    certificate run as well and land in their boolean fields; a failed
-    cross-check while building M counts against the reduction, and the
-    majorization report then builds M itself.  fault_inject
+    certificate run as well, on the integer rows of D*M built once by
+    scaled_schur, and land in their boolean fields; a failed cross-check
+    while building D*M counts against the reduction, and the majorization
+    report then builds the rows itself.  fault_inject
     corrupts tau by one after the cross-checks, which is how campaign failure
     paths get exercised.
     """
     if not is_connected(g):
         raise DisconnectedGraph("verification needs a connected graph")
     tau = tau_matrix_tree(g)
-    M = None
+    scaled = None
     try:
-        M = matrix_M(g)
-        reduction_ok = check_reduction(g, tau=tau, M=M)
+        scaled = scaled_schur(g, shift=True)
+        reduction_ok = check_reduction(g, tau=tau, scaled=scaled)
     except IdentityViolation:
         reduction_ok = False
     try:
-        majorizes = majorization_report(g, tol, M=M).majorizes
+        majorizes = majorization_report(g, tol, scaled=scaled).majorizes
     except IdentityViolation:
         majorizes = False
     if fault_inject:
         tau += 1
     dd = degrees(g)
     degree_product = prod(dd.a) * prod(dd.b)
-    scaled = tau * g.m * g.n
+    tau_mn = tau * g.m * g.n
     return VerificationRecord(
         graph=g,
         tau=tau,
         F=Fraction(degree_product, g.m * g.n),
-        inequality_ok=scaled <= degree_product,
-        equality=scaled == degree_product,
+        inequality_ok=tau_mn <= degree_product,
+        equality=tau_mn == degree_product,
         ferrers=is_ferrers(g),
         reduction_ok=reduction_ok,
         majorizes=majorizes,
@@ -138,6 +139,9 @@ def summary_dict(s: CampaignSummary) -> dict:
         "equality_cases": s.equality_cases,
         "ferrers_count": s.ferrers_count,
         "wall_time": s.wall_time,
+        "oracle_checked": s.oracle_checked,
+        "failure_counts": dict(s.failure_counts),
+        "failure_examples": dict(s.failure_examples),
     }
 
 

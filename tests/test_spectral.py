@@ -3,7 +3,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,10 +11,11 @@ from ferrers.errors import DisconnectedGraph, IdentityViolation, NonConvergence
 from ferrers.graphs import (
     BipartiteGraph,
     PartitionSpec,
+    degrees,
     enumerate_connected,
     ferrers_from_partition,
 )
-from ferrers.linalg import RationalMatrix, matrix_M, projection_Q
+from ferrers.linalg import RationalMatrix, matrix_M, projection_Q, scaled_schur
 from ferrers.spectral import (
     eigen_sym,
     kyfan_check,
@@ -102,6 +102,7 @@ class TestEigenSym:
                     assert dot == pytest.approx(1.0 if i == j else 0.0, abs=1e-10)
 
     def test_matches_numpy(self):
+        np = pytest.importorskip("numpy")
         rng = random.Random(23)
         for d in (2, 3, 5, 6):
             mat = random_symmetric(rng, d, scale=10.0)
@@ -261,7 +262,7 @@ class TestMajorization:
             majorization_report(BipartiteGraph(2, 2, (0b01, 0b10)))
 
     def test_precomputed_matrix_accepted(self):
-        rep = majorization_report(HEX, M=matrix_M(HEX))
+        rep = majorization_report(HEX, scaled=scaled_schur(HEX, shift=True))
         assert rep.majorizes
 
     def test_gap_dominates_defect_everywhere(self):
@@ -277,16 +278,37 @@ class TestMajorization:
     def test_trace_gap_tolerance_is_relative(self):
         # tol is scaled by max(1, sum(a)) = 6 on the hexagon, for the verdict
         # and the raise alike: a trace gap of 3 tol passes both.
+        # M + tol*I with tol = p/q is the integer pair (D*q, q*(D*M) + p*D*I).
         tol = 1e-9
-        M = matrix_M(HEX) + RationalMatrix.identity(3).scale(Fraction(tol))
-        rep = majorization_report(HEX, tol, M=M)
+        p, q = Fraction(tol).as_integer_ratio()
+        den, rows = scaled_schur(HEX, shift=True)
+        shifted = [
+            [q * x + (p * den if i == k else 0) for k, x in enumerate(row)]
+            for i, row in enumerate(rows)
+        ]
+        rep = majorization_report(HEX, tol, scaled=(den * q, shifted))
         assert tol < rep.trace_gap < 6 * tol
         assert rep.majorizes
 
     def test_wrong_matrix_caught(self):
         # Feeding the wrong M must trip one of the exact consistency checks.
+        identity = [[1 if i == k else 0 for k in range(3)] for i in range(3)]
         with pytest.raises(IdentityViolation):
-            majorization_report(HEX, M=RationalMatrix.identity(3))
+            majorization_report(HEX, scaled=(1, identity))
+
+    def test_defect_sums_match_overlap_defect(self):
+        # Reference: the defect sum at k adds overlap_defect of the top-k
+        # prefix against every neighborhood, one Fraction at a time.
+        for m, n in ((3, 3), (2, 4), (4, 2)):
+            for g in enumerate_connected(m, n):
+                rep = majorization_report(g)
+                a = degrees(g).a
+                order = sorted(range(m), key=lambda i: (-a[i], i))
+                assert rep.a_sorted == tuple(a[i] for i in order)
+                for k in range(1, m):
+                    prefix = sum(1 << i for i in order[:k])
+                    expected = sum((overlap_defect(prefix, t) for t in g.nbrs), Fraction(0))
+                    assert rep.defect_sums[k - 1] == expected
 
 
 class TestReportDict:

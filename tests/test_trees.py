@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ferrers.errors import CapExceeded, DisconnectedGraph, IsolatedVertex
+from ferrers.errors import CapExceeded, DisconnectedGraph, IdentityViolation, IsolatedVertex
 from ferrers.graphs import (
     BipartiteGraph,
     PartitionSpec,
@@ -15,7 +15,7 @@ from ferrers.graphs import (
     ferrers_from_partition,
     is_connected,
 )
-from ferrers.linalg import matrix_M
+from ferrers.linalg import matrix_M, scaled_schur
 from ferrers.trees import (
     bozkurt_bound,
     check_reduction,
@@ -164,7 +164,26 @@ class TestReduction:
             check_reduction(g)
 
     def test_precomputed_arguments_accepted(self):
-        check_reduction(HEX, tau=6, M=matrix_M(HEX))
+        check_reduction(HEX, tau=6, scaled=scaled_schur(HEX, shift=True))
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_perturbed_off_diagonal_pair_caught(self, delta):
+        den, rows = scaled_schur(HEX, shift=True)
+        rows[0][1] += delta
+        rows[1][0] += delta
+        with pytest.raises(IdentityViolation, match=r"^tau\*m\*n = 54 but "):
+            check_reduction(HEX, scaled=(den, rows))
+
+    def test_doubled_denominator_caught(self):
+        den, rows = scaled_schur(HEX, shift=True)
+        with pytest.raises(IdentityViolation, match=r"^tau\*m\*n = 54 but "):
+            check_reduction(HEX, scaled=(2 * den, rows))
+
+    def test_precomputed_rows_left_unchanged(self):
+        den, rows = scaled_schur(HEX, shift=True)
+        kept = [row[:] for row in rows]
+        check_reduction(HEX, scaled=(den, rows))
+        assert rows == kept
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraph):

@@ -17,6 +17,7 @@ from ferrers.graphs import (
     parse_graph,
     write_graph,
 )
+from ferrers.linalg import RationalMatrix
 from ferrers.verify import (
     corollary_check,
     equality_flag_diagonalization,
@@ -72,6 +73,14 @@ class TestVerifyGraph:
         assert not rec.ferrers
         assert rec.reduction_ok
         assert rec.majorizes
+
+    def test_no_fraction_matrix_built(self, monkeypatch):
+        def refuse(self, rows):
+            raise AssertionError("verify_graph built a RationalMatrix")
+
+        monkeypatch.setattr(RationalMatrix, "__init__", refuse)
+        rec = verify_graph(HEX)
+        assert rec.reduction_ok and rec.majorizes
 
     def test_equality_cases(self):
         for g in (K22, K23, STAIR, BipartiteGraph(1, 1, (1,))):
@@ -191,10 +200,10 @@ class TestCampaigns:
         assert "2 2" in s.failure_examples["equality"]
 
     def test_failed_M_build_counts_against_the_reduction(self, monkeypatch, tmp_path, capsys):
-        def corrupted(g):
+        def corrupted(g, *, shift=False):
             raise IdentityViolation(f"corrupted M for:\n{write_graph(g)}")
 
-        monkeypatch.setattr("ferrers.verify.matrix_M", corrupted)
+        monkeypatch.setattr("ferrers.verify.scaled_schur", corrupted)
         s = verify_pairs([(3, 3)], fail_fast=False)
         assert s.graphs_checked > 0
         assert s.failure_counts == {"reduction": s.graphs_checked}
@@ -215,8 +224,22 @@ class TestCampaigns:
             "equality_cases",
             "ferrers_count",
             "wall_time",
+            "oracle_checked",
+            "failure_counts",
+            "failure_examples",
         }
         assert d["dims"] == [2, 2]
+        assert d["oracle_checked"] == 0
+        assert d["failure_counts"] == d["failure_examples"] == {}
+
+    def test_summary_dict_keeps_failures_and_oracle_count(self):
+        s = verify_pairs([(2, 2)], oracle_edge_cap=14, fault_inject=True, fail_fast=False)
+        d = json.loads(json.dumps(summary_dict(s)))
+        assert s.graphs_checked == 5
+        assert d["oracle_checked"] == s.oracle_checked == 5
+        assert d["failure_counts"] == s.failure_counts
+        assert d["failure_counts"]["oracle"] == 5
+        assert d["failure_examples"] == s.failure_examples
 
 
 class TestCorollary:
