@@ -3,7 +3,8 @@
 Graphs are read from a file argument or stdin in the neighborhood-list text
 format; a "biadj" first line or the --biadj flag switches to 0/1 matrix rows.
 Every verb honors --format json|csv|plain.  Exit codes: 0 on success, 1 when
-a theorem check fails (only reachable through --fault-inject), 2 on bad input.
+a theorem check fails (a counterexample to the bound or a failed
+cross-check), 2 on bad input.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from fractions import Fraction
 
 from .errors import FerrersError, IdentityViolation, TheoremViolation
 from .graphs import (
+    DEFAULT_CAP,
     PartitionSpec,
     enumerate_connected,
     ferrers_from_partition,
@@ -107,7 +109,7 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    rec = verify_graph(_load_graph(args), args.tol, fault_inject=args.fault_inject)
+    rec = verify_graph(_load_graph(args), args.tol)
     emit(record_dict(rec), args.format)
     consistent = (
         rec.inequality_ok
@@ -163,7 +165,6 @@ def _cmd_verify(args) -> int:
         cap=args.cap,
         tol=args.tol,
         workers=args.workers,
-        fault_inject=args.fault_inject,
         emit=stream,
     )
     emit(summary_dict(summary), args.format)
@@ -185,16 +186,13 @@ def _cmd_corollary(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     # Each verb takes --format plus only the options its handler reads.
-    fmt, tol, cap, fault = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    fmt, tol, cap = (argparse.ArgumentParser(add_help=False) for _ in range(3))
     fmt.add_argument(
         "--format", choices=("json", "csv", "plain"), default="json", help="output format"
     )
     tol.add_argument("--tol", type=float, default=1e-9, help="floating comparison tolerance")
-    cap.add_argument("--cap", type=int, default=None, help="enumeration / brute-force cap")
-    fault.add_argument(
-        "--fault-inject",
-        action="store_true",
-        help="corrupt the computed tree count by one (testing only)",
+    cap.add_argument(
+        "--cap", type=int, default=DEFAULT_CAP, help="enumeration / brute-force cap"
     )
 
     graph_in = argparse.ArgumentParser(add_help=False)
@@ -216,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         "invariant", parents=[fmt, graph_in], help="degree product over m*n"
     ).set_defaults(handler=_cmd_invariant)
     sub.add_parser(
-        "check", parents=[fmt, tol, fault, graph_in], help="full verification record for one graph"
+        "check", parents=[fmt, tol, graph_in], help="full verification record for one graph"
     ).set_defaults(handler=_cmd_check)
     sub.add_parser(
         "spectrum", parents=[fmt, tol, graph_in], help="eigenvalues and majorization report of M"
@@ -255,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser(
         "verify",
-        parents=[fmt, tol, cap, fault],
+        parents=[fmt, tol, cap],
         help="exhaustive campaign over a rectangle of part sizes",
     )
     ver.add_argument("m_max", type=int)

@@ -8,7 +8,6 @@ multi-edges by construction.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Iterator, Sequence
@@ -21,21 +20,6 @@ from .errors import (
 )
 
 DEFAULT_CAP = 20
-CAP_ENV_VAR = "FERRERS_CAP"
-
-
-def effective_cap(explicit: int | None = None) -> int:
-    """Cap used by enumeration and brute-force loops.
-
-    An explicit argument wins, then the FERRERS_CAP environment variable,
-    then the built-in default of 20.
-    """
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(CAP_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return DEFAULT_CAP
 
 
 def bit_indices(t: int) -> Iterator[int]:
@@ -246,7 +230,7 @@ def enumerate_connected(
     m: int,
     n: int,
     *,
-    cap: int | None = None,
+    cap: int = DEFAULT_CAP,
     dedupe: bool = False,
 ) -> Iterator[BipartiteGraph]:
     """All connected bipartite graphs on labeled parts of sizes m and n.
@@ -258,9 +242,8 @@ def enumerate_connected(
     """
     if m < 1 or n < 1:
         raise DimensionError(f"both parts must be nonempty, got m={m}, n={n}")
-    limit = effective_cap(cap)
-    if m * n > limit:
-        raise CapExceeded(f"m*n = {m * n} exceeds the enumeration cap {limit}")
+    if m * n > cap:
+        raise CapExceeded(f"m*n = {m * n} exceeds the enumeration cap {cap}")
     seen: set[tuple[int, ...]] | None = set() if dedupe else None
     for mask in range(1 << (m * n)):
         if not _mask_connected(m, n, mask):

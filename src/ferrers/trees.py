@@ -12,7 +12,7 @@ from .errors import (
     IdentityViolation,
     IsolatedVertex,
 )
-from .graphs import BipartiteGraph, degrees, effective_cap, is_connected
+from .graphs import DEFAULT_CAP, BipartiteGraph, degrees, is_connected
 from .linalg import bareiss_det, laplacian_rows, scaled_schur
 
 SpanningTree = frozenset  # of (x index, y index) edge pairs
@@ -47,7 +47,7 @@ def tau_matrix_tree(g: BipartiteGraph, *, check_all_deletions: bool = False) -> 
 
 
 def tau_brute_force(
-    g: BipartiteGraph, *, cap: int | None = None
+    g: BipartiteGraph, *, cap: int = DEFAULT_CAP
 ) -> tuple[int, list[SpanningTree]]:
     """Enumerate spanning trees directly, as a determinant-free oracle.
 
@@ -56,10 +56,9 @@ def tau_brute_force(
     graph with m+n-1 edges on m+n vertices is already spanning.  Refuses
     edge sets above the cap.
     """
-    limit = effective_cap(cap)
     edge_list = g.edges()
-    if len(edge_list) > limit:
-        raise CapExceeded(f"|E| = {len(edge_list)} exceeds the brute-force cap {limit}")
+    if len(edge_list) > cap:
+        raise CapExceeded(f"|E| = {len(edge_list)} exceeds the brute-force cap {cap}")
     v = g.m + g.n
     need = v - 1
     trees: list[SpanningTree] = []

@@ -22,11 +22,11 @@ from .errors import (
     TheoremViolation,
 )
 from .graphs import (
+    DEFAULT_CAP,
     BipartiteGraph,
     PartitionSpec,
     _mask_connected,
     degrees,
-    effective_cap,
     ferrers_from_partition,
     graph_from_mask,
     is_connected,
@@ -66,9 +66,7 @@ def record_dict(rec: VerificationRecord) -> dict:
     }
 
 
-def verify_graph(
-    g: BipartiteGraph, tol: float = 1e-9, *, fault_inject: bool = False
-) -> VerificationRecord:
+def verify_graph(g: BipartiteGraph, tol: float = 1e-9) -> VerificationRecord:
     """Verify one connected graph: bound, equality vs staircase shape, cross-checks.
 
     The inequality and equality verdicts compare tau*m*n against the degree
@@ -76,9 +74,7 @@ def verify_graph(
     certificate run as well, on the integer rows of D*M built once by
     scaled_schur, and land in their boolean fields; a failed cross-check
     while building D*M counts against the reduction, and the majorization
-    report then builds the rows itself.  fault_inject
-    corrupts tau by one after the cross-checks, which is how campaign failure
-    paths get exercised.
+    report then builds the rows itself.
     """
     if not is_connected(g):
         raise DisconnectedGraph("verification needs a connected graph")
@@ -93,8 +89,6 @@ def verify_graph(
         majorizes = majorization_report(g, tol, scaled=scaled).majorizes
     except IdentityViolation:
         majorizes = False
-    if fault_inject:
-        tau += 1
     dd = degrees(g)
     degree_product = prod(dd.a) * prod(dd.b)
     tau_mn = tau * g.m * g.n
@@ -114,21 +108,24 @@ def verify_graph(
 class CampaignSummary:
     """Aggregate of one exhaustive campaign.
 
-    violations stays 0 on the fail-fast path (the campaign aborts instead);
-    in tally mode failure_counts and failure_examples break the number down
-    by category.  oracle_checked counts graphs that also went through the
-    brute-force and deletion-independence cross-checks.
+    failure_counts and failure_examples hold the failed checks by category;
+    they stay empty on the fail-fast path, where the campaign aborts instead.
+    violations is their total.  oracle_checked counts graphs that also went
+    through the brute-force and deletion-independence cross-checks.
     """
 
     dims: tuple[int, int]
     graphs_checked: int
-    violations: int
     equality_cases: int
     ferrers_count: int
     wall_time: float
     oracle_checked: int = 0
     failure_counts: dict[str, int] = field(default_factory=dict)
     failure_examples: dict[str, str] = field(default_factory=dict)
+
+    @property
+    def violations(self) -> int:
+        return sum(self.failure_counts.values())
 
 
 def summary_dict(s: CampaignSummary) -> dict:
@@ -149,9 +146,8 @@ def _examine(
     g: BipartiteGraph,
     tol: float,
     oracle_edge_cap: int | None,
-    fault_inject: bool,
 ) -> tuple[VerificationRecord, list[str], bool]:
-    rec = verify_graph(g, tol, fault_inject=fault_inject)
+    rec = verify_graph(g, tol)
     bad = []
     if not rec.inequality_ok:
         bad.append("inequality")
@@ -175,7 +171,7 @@ def _examine(
 
 
 def _run_chunk(task) -> dict:
-    (m, n, lo, hi, tol, oracle_edge_cap, fault_inject, fail_fast, collect) = task
+    (m, n, lo, hi, tol, oracle_edge_cap, fail_fast, collect) = task
     checked = equality = ferrers = oracled = 0
     failures: dict[str, int] = {}
     examples: dict[str, str] = {}
@@ -184,7 +180,7 @@ def _run_chunk(task) -> dict:
         if not _mask_connected(m, n, mask):
             continue
         g = graph_from_mask(m, n, mask)
-        rec, bad, used_oracle = _examine(g, tol, oracle_edge_cap, fault_inject)
+        rec, bad, used_oracle = _examine(g, tol, oracle_edge_cap)
         checked += 1
         equality += rec.equality
         ferrers += rec.ferrers
@@ -212,33 +208,32 @@ def _run_chunk(task) -> dict:
     }
 
 
+_CHUNK_MASKS = 1 << 13
+
+
 def _chunk_tasks(
     pairs: Sequence[tuple[int, int]],
     tol: float,
     oracle_edge_cap: int | None,
-    fault_inject: bool,
     fail_fast: bool,
     collect: bool,
-    chunk_bits: int = 13,
 ) -> list[tuple]:
     tasks = []
-    step = 1 << chunk_bits
     for m, n in pairs:
         total = 1 << (m * n)
-        for lo in range(0, total, step):
-            hi = min(lo + step, total)
-            tasks.append((m, n, lo, hi, tol, oracle_edge_cap, fault_inject, fail_fast, collect))
+        for lo in range(0, total, _CHUNK_MASKS):
+            hi = min(lo + _CHUNK_MASKS, total)
+            tasks.append((m, n, lo, hi, tol, oracle_edge_cap, fail_fast, collect))
     return tasks
 
 
 def verify_pairs(
     pairs: Iterable[tuple[int, int]],
     *,
-    cap: int | None = None,
+    cap: int = DEFAULT_CAP,
     tol: float = 1e-9,
     workers: int | None = None,
     oracle_edge_cap: int | None = None,
-    fault_inject: bool = False,
     fail_fast: bool = True,
     emit: Callable[[dict], None] | None = None,
 ) -> CampaignSummary:
@@ -254,26 +249,24 @@ def verify_pairs(
     pair_list = sorted(set(pairs))
     if not pair_list:
         raise ValueError("no (m, n) pairs to verify")
-    limit = effective_cap(cap)
     for m, n in pair_list:
         if m < 1 or n < 1:
             raise ValueError(f"bad pair ({m}, {n})")
-        if m * n > limit:
-            raise CapExceeded(f"pair ({m}, {n}) exceeds the enumeration cap {limit}")
+        if m * n > cap:
+            raise CapExceeded(f"pair ({m}, {n}) exceeds the enumeration cap {cap}")
     start = time.perf_counter()
-    tasks = _chunk_tasks(pair_list, tol, oracle_edge_cap, fault_inject, fail_fast, emit is not None)
-    checked = equality = ferrers = oracled = violations = 0
+    tasks = _chunk_tasks(pair_list, tol, oracle_edge_cap, fail_fast, emit is not None)
+    checked = equality = ferrers = oracled = 0
     failure_counts: dict[str, int] = {}
     failure_examples: dict[str, str] = {}
 
     def absorb(chunk: dict) -> None:
-        nonlocal checked, equality, ferrers, oracled, violations
+        nonlocal checked, equality, ferrers, oracled
         checked += chunk["checked"]
         equality += chunk["equality"]
         ferrers += chunk["ferrers"]
         oracled += chunk["oracled"]
         for category, count in chunk["failures"].items():
-            violations += count
             failure_counts[category] = failure_counts.get(category, 0) + count
             failure_examples.setdefault(category, chunk["examples"][category])
         if emit is not None and chunk["records"] is not None:
@@ -289,16 +282,11 @@ def verify_pairs(
     else:
         for task in tasks:
             absorb(_run_chunk(task))
-    if fail_fast and equality != ferrers:
-        raise TheoremViolation(
-            f"equality cases ({equality}) and staircase graphs ({ferrers}) diverge"
-        )
     max_m = max(m for m, _ in pair_list)
     max_n = max(n for _, n in pair_list)
     return CampaignSummary(
         dims=(max_m, max_n),
         graphs_checked=checked,
-        violations=violations,
         equality_cases=equality,
         ferrers_count=ferrers,
         wall_time=time.perf_counter() - start,
@@ -312,17 +300,16 @@ def verify_range(
     m_max: int,
     n_max: int,
     *,
-    cap: int | None = None,
+    cap: int = DEFAULT_CAP,
     tol: float = 1e-9,
     workers: int | None = None,
-    fault_inject: bool = False,
     emit: Callable[[dict], None] | None = None,
 ) -> CampaignSummary:
     """Verify every connected labeled graph with 1 <= m <= m_max, 1 <= n <= n_max.
 
-    Fail-fast: the first violation aborts with the offending graph inside the
-    exception, so a returned summary always has violations == 0 and equal
-    equality and staircase counts.
+    Fail-fast: the first graph that fails any check aborts the campaign with
+    the graph inside the TheoremViolation, so a returned summary always has
+    violations == 0 and equal equality and staircase counts.
     """
     if m_max < 1 or n_max < 1:
         raise ValueError(f"bad range ({m_max}, {n_max})")
@@ -332,7 +319,6 @@ def verify_range(
         cap=cap,
         tol=tol,
         workers=workers,
-        fault_inject=fault_inject,
         fail_fast=True,
         emit=emit,
     )
@@ -342,7 +328,7 @@ def corollary_check(
     g: BipartiteGraph,
     z: Sequence[Fraction | int],
     *,
-    cap: int | None = None,
+    cap: int = DEFAULT_CAP,
 ) -> bool:
     """Weighted form of the bound, checked exactly at one nonnegative weight vector.
 

@@ -49,7 +49,7 @@ def _criterion(num: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="session")
 def sweep():
     # Tally mode so a single bad graph cannot mask further failures; the
-    # explicit cap keeps a FERRERS_CAP in the environment from shrinking it.
+    # cap of 16 is the sweep's own limit on m*n.
     return verify_pairs(
         SWEEP_PAIRS,
         cap=16,

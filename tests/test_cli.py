@@ -86,9 +86,10 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "tau: 6" in out and "ferrers: false" in out
 
-    def test_fault_inject_fails_with_exit_one(self, monkeypatch, capsys):
+    def test_fault_inject_fails_with_exit_one(self, corrupt, monkeypatch, capsys):
+        corrupt("inequality")
         feed(monkeypatch, K22_TEXT)
-        assert main(["check", "--fault-inject"]) == 1
+        assert main(["check"]) == 1
         rec = json.loads(capsys.readouterr().out)
         assert rec["tau"] == 5
         assert rec["inequality_ok"] is False
@@ -183,10 +184,13 @@ class TestEnumerate:
         assert "error:" in capsys.readouterr().err
 
     def test_cap_flag_and_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("FERRERS_CAP", "3")
-        assert main(["enumerate", "2", "2"]) == 2
+        assert main(["enumerate", "2", "2", "--cap", "3"]) == 2
         capsys.readouterr()
         assert main(["enumerate", "2", "2", "--cap", "4"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 5
+        # The environment does not set the cap; only --cap does.
+        monkeypatch.setenv("FERRERS_CAP", "3")
+        assert main(["enumerate", "2", "2"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 5
 
 
@@ -220,8 +224,9 @@ class TestVerify:
         assert main(["verify", "2", "2", "--workers", "2", "--format", "plain"]) == 0
         assert "graphs_checked: 8" in capsys.readouterr().out
 
-    def test_fault_inject_exits_one(self, capsys):
-        assert main(["verify", "1", "1", "--fault-inject"]) == 1
+    def test_fault_inject_exits_one(self, corrupt, capsys):
+        corrupt("inequality")
+        assert main(["verify", "1", "1"]) == 1
         assert "theorem check failed:" in capsys.readouterr().err
 
     def test_cap_exceeded(self, capsys):
@@ -284,10 +289,12 @@ class TestErrorPaths:
         [
             ["tau", "HEX", "--tol", "1e-6"],
             ["invariant", "HEX", "--cap", "4"],
-            ["spectrum", "HEX", "--fault-inject"],
+            ["spectrum", "HEX", "--workers", "2"],
             ["enumerate", "2", "2", "--tol", "1e-6"],
-            ["verify", "1", "1", "--seed", "7"],
+            ["check", "HEX", "--cap", "4"],
             ["overlap", "0,1", "1,2", "3", "--cap", "4"],
+            ["check", "HEX", "--fault-inject"],
+            ["verify", "1", "1", "--fault-inject"],
         ],
     )
     def test_flag_of_another_verb_rejected(self, argv, hexfile):

@@ -222,10 +222,11 @@ class TestEnumeration:
             next(enumerate_connected(3, 3, cap=8))
 
     def test_cap_env_override(self, monkeypatch):
+        # The default cap is not read from the environment; only cap= changes it.
         monkeypatch.setenv("FERRERS_CAP", "3")
+        assert sum(1 for _ in enumerate_connected(2, 2)) == 5
         with pytest.raises(CapExceeded):
-            next(enumerate_connected(2, 2))
-        # explicit argument still wins over the environment
+            next(enumerate_connected(2, 2, cap=3))
         assert sum(1 for _ in enumerate_connected(2, 2, cap=4)) == 5
 
     def test_dedupe_two_by_two(self):

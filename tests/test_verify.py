@@ -1,4 +1,4 @@
-"""Campaign driver: single-graph records, exhaustive sweeps, fault injection."""
+"""Campaign driver: single-graph records, exhaustive sweeps, failure categories."""
 
 import json
 from fractions import Fraction
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ferrers.cli import main
-from ferrers.errors import CapExceeded, DisconnectedGraph, IdentityViolation, TheoremViolation
+from ferrers.errors import CapExceeded, DisconnectedGraph, TheoremViolation
 from ferrers.graphs import (
     BipartiteGraph,
     PartitionSpec,
@@ -92,13 +92,6 @@ class TestVerifyGraph:
         with pytest.raises(DisconnectedGraph):
             verify_graph(BipartiteGraph(2, 2, (0b01, 0b10)))
 
-    def test_fault_injection_breaks_equality(self):
-        rec = verify_graph(K22, fault_inject=True)
-        assert rec.tau == 5
-        assert not rec.inequality_ok and not rec.equality
-        assert rec.ferrers  # shape detection is untouched
-        assert rec.reduction_ok  # cross-checks ran before the corruption
-
     def test_record_dict_shape(self):
         d = record_dict(verify_graph(HEX))
         assert set(d) == {
@@ -149,9 +142,11 @@ class TestCampaigns:
             verify_pairs([(5, 5)])
 
     def test_cap_env(self, monkeypatch):
+        # Only the cap argument sets the limit; the environment is not read.
         monkeypatch.setenv("FERRERS_CAP", "4")
+        assert verify_pairs([(3, 2)]).graphs_checked > 0
         with pytest.raises(CapExceeded):
-            verify_pairs([(3, 2)])
+            verify_pairs([(3, 2)], cap=4)
         assert verify_pairs([(3, 2)], cap=6).graphs_checked > 0
 
     def test_duplicate_pairs_collapse(self):
@@ -181,29 +176,31 @@ class TestCampaigns:
             assert is_connected(parse_graph(rec["graph"]))
             assert rec["inequality_ok"] is True
 
-    def test_fault_fail_fast_aborts(self):
-        with pytest.raises(TheoremViolation) as exc:
-            verify_range(2, 2, fault_inject=True)
-        assert "tau=" in str(exc.value)
-
-    def test_fault_tally_mode(self):
-        s = verify_pairs(
-            [(2, 2)], fault_inject=True, fail_fast=False, oracle_edge_cap=16
-        )
+    @pytest.mark.parametrize(
+        "category",
+        ["inequality", "equality", "reduction", "majorization", "deletion", "oracle"],
+    )
+    def test_each_failure_category_fires(self, corrupt, category):
+        corrupt(category)
+        s = verify_pairs([(2, 2)], oracle_edge_cap=14, fail_fast=False)
         assert s.graphs_checked == 5
-        assert s.violations > 0
-        # every graph here is a staircase, so the corrupted count must at
-        # least break the equality-iff-staircase cross-check and the oracle
-        assert s.failure_counts["equality"] == 5
-        assert s.failure_counts["oracle"] == 5
-        assert "equality" in s.failure_examples
-        assert "2 2" in s.failure_examples["equality"]
+        if category == "inequality":
+            # tau + 1 also breaks equality on these staircases, the reduction
+            # identity it is fed into, and the brute-force oracle.
+            assert s.failure_counts == dict.fromkeys(
+                ("inequality", "equality", "reduction", "oracle"), 5
+            )
+        else:
+            assert s.failure_counts == {category: s.graphs_checked}
+        assert s.violations == sum(s.failure_counts.values())
+        head, text = s.failure_examples[category].split(":\n", 1)
+        assert category in head.split(" failed for ")[0].split(", ")
+        assert is_connected(parse_graph(text))
+        with pytest.raises(TheoremViolation, match=category):
+            verify_pairs([(2, 2)], oracle_edge_cap=14)
 
-    def test_failed_M_build_counts_against_the_reduction(self, monkeypatch, tmp_path, capsys):
-        def corrupted(g, *, shift=False):
-            raise IdentityViolation(f"corrupted M for:\n{write_graph(g)}")
-
-        monkeypatch.setattr("ferrers.verify.scaled_schur", corrupted)
+    def test_failed_M_build_counts_against_the_reduction(self, corrupt, tmp_path, capsys):
+        corrupt("reduction")
         s = verify_pairs([(3, 3)], fail_fast=False)
         assert s.graphs_checked > 0
         assert s.failure_counts == {"reduction": s.graphs_checked}
@@ -232,13 +229,14 @@ class TestCampaigns:
         assert d["oracle_checked"] == 0
         assert d["failure_counts"] == d["failure_examples"] == {}
 
-    def test_summary_dict_keeps_failures_and_oracle_count(self):
-        s = verify_pairs([(2, 2)], oracle_edge_cap=14, fault_inject=True, fail_fast=False)
+    def test_summary_dict_keeps_failures_and_oracle_count(self, corrupt):
+        corrupt("oracle")
+        s = verify_pairs([(2, 2)], oracle_edge_cap=14, fail_fast=False)
         d = json.loads(json.dumps(summary_dict(s)))
         assert s.graphs_checked == 5
         assert d["oracle_checked"] == s.oracle_checked == 5
-        assert d["failure_counts"] == s.failure_counts
-        assert d["failure_counts"]["oracle"] == 5
+        assert d["failure_counts"] == s.failure_counts == {"oracle": 5}
+        assert d["violations"] == 5
         assert d["failure_examples"] == s.failure_examples
 
 
