@@ -2,9 +2,10 @@
 
 Graphs are read from a file argument or stdin in the neighborhood-list text
 format; a "biadj" first line or the --biadj flag switches to 0/1 matrix rows.
-Every verb honors --format json|csv|plain.  Exit codes: 0 on success, 1 when
-a theorem check fails (a counterexample to the bound or a failed
-cross-check), 2 on bad input.
+Every verb honors --format json|csv|plain.  Floating comparisons in check,
+spectrum and verify use the fixed spectral.FLOAT_TOL, so no verb takes a
+tolerance.  Exit codes: 0 on success, 1 when a theorem check fails (a
+counterexample to the bound or a failed cross-check), 2 on bad input.
 """
 
 from __future__ import annotations
@@ -109,19 +110,13 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    rec = verify_graph(_load_graph(args), args.tol)
+    rec = verify_graph(_load_graph(args))
     emit(record_dict(rec), args.format)
-    consistent = (
-        rec.inequality_ok
-        and rec.equality == rec.ferrers
-        and rec.reduction_ok
-        and rec.majorizes
-    )
-    return 0 if consistent else 1
+    return 1 if rec.failures else 0
 
 
 def _cmd_spectral(args) -> int:
-    report = majorization_report(_load_graph(args), args.tol)
+    report = majorization_report(_load_graph(args))
     emit(report_dict(report), args.format)
     return 0
 
@@ -163,7 +158,6 @@ def _cmd_verify(args) -> int:
         args.m_max,
         args.n_max,
         cap=args.cap,
-        tol=args.tol,
         workers=args.workers,
         emit=stream,
     )
@@ -186,11 +180,10 @@ def _cmd_corollary(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     # Each verb takes --format plus only the options its handler reads.
-    fmt, tol, cap = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    fmt, cap = (argparse.ArgumentParser(add_help=False) for _ in range(2))
     fmt.add_argument(
         "--format", choices=("json", "csv", "plain"), default="json", help="output format"
     )
-    tol.add_argument("--tol", type=float, default=1e-9, help="floating comparison tolerance")
     cap.add_argument(
         "--cap", type=int, default=DEFAULT_CAP, help="enumeration / brute-force cap"
     )
@@ -214,13 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
         "invariant", parents=[fmt, graph_in], help="degree product over m*n"
     ).set_defaults(handler=_cmd_invariant)
     sub.add_parser(
-        "check", parents=[fmt, tol, graph_in], help="full verification record for one graph"
+        "check", parents=[fmt, graph_in], help="full verification record for one graph"
     ).set_defaults(handler=_cmd_check)
     sub.add_parser(
-        "spectrum", parents=[fmt, tol, graph_in], help="eigenvalues and majorization report of M"
+        "spectrum", parents=[fmt, graph_in], help="eigenvalues and majorization report of M"
     ).set_defaults(handler=_cmd_spectral)
     sub.add_parser(
-        "majorize", parents=[fmt, tol, graph_in], help="majorization report of M"
+        "majorize", parents=[fmt, graph_in], help="majorization report of M"
     ).set_defaults(handler=_cmd_spectral)
 
     overlap = sub.add_parser(
@@ -253,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser(
         "verify",
-        parents=[fmt, tol, cap],
+        parents=[fmt, cap],
         help="exhaustive campaign over a rectangle of part sizes",
     )
     ver.add_argument("m_max", type=int)

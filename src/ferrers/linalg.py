@@ -115,15 +115,6 @@ class RationalMatrix:
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
         )
 
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        if self.dim != other.dim:
-            raise DimensionError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return RationalMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
     def __mul__(self, other):
         if isinstance(other, RationalMatrix):
             if self.dim != other.dim:
@@ -144,16 +135,6 @@ class RationalMatrix:
     def scale(self, factor: Rational | int) -> "RationalMatrix":
         f = Fraction(factor)
         return RationalMatrix([[f * x for x in row] for row in self.rows])
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(list(zip(*self.rows)))
-
-    def is_symmetric(self) -> bool:
-        return all(
-            self.rows[i][k] == self.rows[k][i]
-            for i in range(self.dim)
-            for k in range(i + 1, self.dim)
-        )
 
     def trace(self) -> Rational:
         return sum((self.rows[i][i] for i in range(self.dim)), _ZERO)
@@ -209,12 +190,6 @@ class RationalMatrix:
     def to_floats(self) -> list[list[float]]:
         return [[float(x) for x in row] for row in self.rows]
 
-    def dump(self) -> str:
-        """Debug form: one line per row, entries as p/q separated by tabs."""
-        return "\n".join(
-            "\t".join(f"{x.numerator}/{x.denominator}" for x in row) for row in self.rows
-        )
-
 
 def laplacian_rows(g: BipartiteGraph) -> list[list[int]]:
     """Integer Laplacian on X then Y: degrees on the diagonal, -1 per edge."""
@@ -265,24 +240,24 @@ def projection_Q(T: int, m: int) -> RationalMatrix:
     return projection_P(T, m) + RationalMatrix.constant(m, Fraction(1, m))
 
 
-def scaled_schur(g: BipartiteGraph, *, shift: bool = False) -> tuple[int, list[list[int]]]:
-    """Common denominator den and the integer rows of den * L_X, or of den * M with shift.
+def scaled_schur(g: BipartiteGraph) -> tuple[int, list[list[int]]]:
+    """Common denominator D and the integer rows of D * M.
 
     L_X = A - B C^(-1) B^T is the Schur complement of the Laplacian onto the X
-    block and M = L_X + (n/m) J.  den = lcm of the y-degrees, with m added
-    when shift is set, so every entry is an integer.  The block formula and
-    the sum of the neighborhood projections P_(T_j) share every term but the
-    diagonal den * a_i: the block formula takes a_i from the degrees, the
-    projection sum counts the neighborhoods holding x_i.  The two counts are
-    compared, and a mismatch raises IdentityViolation naming the graph.
+    block and M = L_X + (n/m) J.  D = lcm(m, y-degrees), so every entry of
+    D * M, and of D * L_X = D * M - (D * n / m) J, is an integer.  The block
+    formula and the sum of the neighborhood projections P_(T_j) share every
+    term but the diagonal D * a_i: the block formula takes a_i from the
+    degrees, the projection sum counts the neighborhoods holding x_i.  The
+    two counts are compared, and a mismatch raises IdentityViolation naming
+    the graph.
     """
     dd = degrees(g)
     if 0 in dd.b:
         raise IsolatedVertex("a y-vertex has degree zero, so the C block is singular")
     m = g.m
-    den = lcm(m, *dd.b) if shift else lcm(*dd.b)
-    base = den * g.n // m if shift else 0
-    rows = [[base] * m for _ in range(m)]
+    den = lcm(m, *dd.b)
+    rows = [[den * g.n // m] * m for _ in range(m)]
     member = [0] * m
     for t, bj in zip(g.nbrs, dd.b):
         w = den // bj
@@ -302,27 +277,26 @@ def scaled_schur(g: BipartiteGraph, *, shift: bool = False) -> tuple[int, list[l
     return den, rows
 
 
-def _over(den: int, rows: list[list[int]]) -> RationalMatrix:
-    return RationalMatrix([[Fraction(x, den) for x in row] for row in rows])
-
-
 def schur_LX(g: BipartiteGraph) -> RationalMatrix:
     """Schur complement A - B C^(-1) B^T of the Laplacian onto the X block.
 
-    The readable Fraction view of the rows of scaled_schur(g); the per-graph
-    checks read those integer rows directly.
+    The readable Fraction view of scaled_schur(g) with D * n / m taken off
+    every entry, which leaves D * L_X; the per-graph checks read the integer
+    rows of D * M directly.
     """
-    return _over(*scaled_schur(g))
+    den, rows = scaled_schur(g)
+    base = den * g.n // g.m
+    return RationalMatrix([[Fraction(x - base, den) for x in row] for row in rows])
 
 
 def matrix_M(g: BipartiteGraph) -> RationalMatrix:
     """Shifted Schur complement L_X + (n/m) J, the positive definite reduction target.
 
     Equal to the sum of the rank-|T_j| projections Q over the neighborhoods.
-    The readable Fraction view of the rows of scaled_schur(g, shift=True);
-    verify_graph, check_reduction and majorization_report read those integer
-    rows directly.
+    The readable Fraction view of the rows of scaled_schur(g); verify_graph,
+    check_reduction and majorization_report read those integer rows directly.
     """
     if not is_connected(g):
         raise DisconnectedGraph("M is only defined for connected graphs")
-    return _over(*scaled_schur(g, shift=True))
+    den, rows = scaled_schur(g)
+    return RationalMatrix([[Fraction(x, den) for x in row] for row in rows])

@@ -1,8 +1,14 @@
 """Floating eigensolver, exact overlap formulas, and the majorization certificate.
 
 Eigenvalues are the one place floating point is allowed.  Overlap traces and
-defects stay exact rationals; the two meet only inside SpectralReport, where
-every comparison carries an explicit tolerance.
+defects stay exact rationals; the two meet only inside SpectralReport.  Every
+floating comparison follows one rule, read from FLOAT_TOL at call time:
+
+- absolute FLOAT_TOL for the Jacobi residual, the partial-sum gaps, the
+  defect comparison, the smallest eigenvalue and the projection checks;
+- FLOAT_TOL * max(1, sum(a)) for the trace gap, which grows with the degrees;
+- OFF_DIAGONAL_TOL is the Jacobi rotation threshold and _SYM_TOL the input
+  symmetry check; neither is a verdict tolerance.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from .errors import DisconnectedGraph, IdentityViolation, NonConvergence
 from .graphs import BipartiteGraph, degrees, is_connected, write_graph
 from .linalg import RationalMatrix, projection_Q, rat_str, scaled_schur
 
+FLOAT_TOL = 1e-9
 OFF_DIAGONAL_TOL = 1e-12
 MAX_SWEEPS = 100
 _SYM_TOL = 1e-12
@@ -38,13 +45,13 @@ class Spectrum:
     residual: float
 
 
-def eigen_sym(mat: RationalMatrix | FloatMatrix, tol: float = 1e-9) -> Spectrum:
+def eigen_sym(mat: RationalMatrix | FloatMatrix) -> Spectrum:
     """Cyclic Jacobi diagonalization of a real symmetric matrix.
 
     Sweeps rotate away every off-diagonal entry larger than 1e-12 in absolute
     value and stop when a full sweep does nothing, capped at 100 sweeps.  The
     residual max over eigenpairs of |A v - lambda v| is measured against the
-    original matrix and must come in under tol.
+    original matrix and must come in under FLOAT_TOL.
     """
     a = _as_float_rows(mat)
     d = len(a)
@@ -100,8 +107,8 @@ def eigen_sym(mat: RationalMatrix | FloatMatrix, tol: float = 1e-9) -> Spectrum:
             r = abs(sum(row[l] * v[l] for l in range(d)) - lam * v[k])
             if r > residual:
                 residual = r
-    if residual > tol:
-        raise NonConvergence(f"eigenpair residual {residual:.3e} exceeds tol {tol:.3e}")
+    if residual > FLOAT_TOL:
+        raise NonConvergence(f"eigenpair residual {residual:.3e} exceeds tol {FLOAT_TOL:.3e}")
     return Spectrum(values, vectors, residual)
 
 
@@ -133,7 +140,7 @@ def overlap_trace(I: int, T: int, m: int, *, verify: bool = False) -> Fraction:
     return value
 
 
-def _check_projection(p: list[list[float]], k: int, tol: float) -> None:
+def _check_projection(p: list[list[float]], k: int) -> None:
     d = len(p)
     if any(len(row) != d for row in p):
         raise ValueError("P must be square")
@@ -142,17 +149,17 @@ def _check_projection(p: list[list[float]], k: int, tol: float) -> None:
     worst_sym = max(
         (abs(p[i][j] - p[j][i]) for i in range(d) for j in range(i + 1, d)), default=0.0
     )
-    if worst_sym > tol:
-        raise ValueError(f"P is not symmetric within {tol}: worst gap {worst_sym:.3e}")
+    if worst_sym > FLOAT_TOL:
+        raise ValueError(f"P is not symmetric within {FLOAT_TOL}: worst gap {worst_sym:.3e}")
     worst_idem = 0.0
     for i in range(d):
         for j in range(d):
             entry = sum(p[i][l] * p[l][j] for l in range(d))
             worst_idem = max(worst_idem, abs(entry - p[i][j]))
-    if worst_idem > tol:
-        raise ValueError(f"P is not idempotent within {tol}: worst gap {worst_idem:.3e}")
+    if worst_idem > FLOAT_TOL:
+        raise ValueError(f"P is not idempotent within {FLOAT_TOL}: worst gap {worst_idem:.3e}")
     tr = sum(p[i][i] for i in range(d))
-    if abs(tr - k) > tol:
+    if abs(tr - k) > FLOAT_TOL:
         raise ValueError(f"trace(P) = {tr} is not the requested rank {k}")
 
 
@@ -160,24 +167,23 @@ def kyfan_check(
     S: RationalMatrix | FloatMatrix,
     P: RationalMatrix | FloatMatrix,
     k: int,
-    tol: float = 1e-9,
 ) -> bool:
     """Maximum principle: tr(P S) <= sum of the k largest eigenvalues of S.
 
-    P must be a rank-k orthogonal projection within tol.  The projection onto
-    the top-k eigenvectors is also assembled and must attain the bound within
-    tol, certifying that the maximum is achieved.
+    P must be a rank-k orthogonal projection within FLOAT_TOL.  The projection
+    onto the top-k eigenvectors is also assembled and must attain the bound
+    within FLOAT_TOL, certifying that the maximum is achieved.
     """
     s = _as_float_rows(S)
     p = _as_float_rows(P)
     d = len(s)
     if len(p) != d:
         raise ValueError("S and P must have the same dimension")
-    _check_projection(p, k, tol)
-    spectrum = eigen_sym(s, tol)
+    _check_projection(p, k)
+    spectrum = eigen_sym(s)
     top = sum(spectrum.values[:k])
     tr_ps = sum(p[i][j] * s[j][i] for i in range(d) for j in range(d))
-    if tr_ps > top + tol:
+    if tr_ps > top + FLOAT_TOL:
         raise IdentityViolation(
             f"tr(PS) = {tr_ps!r} exceeds the top-{k} eigenvalue sum {top!r}"
         )
@@ -185,7 +191,7 @@ def kyfan_check(
     for r in range(k):
         v = spectrum.vectors[r]
         tr_star += sum(v[i] * s[i][j] * v[j] for i in range(d) for j in range(d))
-    if abs(tr_star - top) > tol:
+    if abs(tr_star - top) > FLOAT_TOL:
         raise IdentityViolation(
             f"top-{k} eigenprojection attains {tr_star!r}, expected {top!r}"
         )
@@ -223,7 +229,6 @@ def report_dict(report: SpectralReport) -> dict:
 
 def majorization_report(
     g: BipartiteGraph,
-    tol: float = 1e-9,
     *,
     scaled: tuple[int, list[list[int]]] | None = None,
 ) -> SpectralReport:
@@ -235,18 +240,19 @@ def majorization_report(
     traces must agree, and the smallest eigenvalue must stay positive.  Any
     failure raises with the offending graph serialized, since it would
     contradict the tree-count bound itself.  scaled, the (D, rows) pair of
-    scaled_schur(g, shift=True), may be passed in when already computed; the
-    eigensolver gets the rows divided by D as floats.  Each defect sum is one
-    exact Fraction over k * L, with L the lcm of the neighborhood sizes taken
-    from g, so the lower bound does not depend on the rows passed in.
+    scaled_schur(g), may be passed in when already computed; the eigensolver
+    gets the rows divided by D as floats.  Each defect sum is one exact
+    Fraction over k * L, with L the lcm of the neighborhood sizes taken from
+    g, so the lower bound does not depend on the rows passed in.
 
-    Partial sums and the smallest eigenvalue allow an absolute tol; the trace
-    gap allows tol * max(1, sum(a)), both for majorizes and for the raise.
+    Tolerances follow the module rule: partial sums, defects and the smallest
+    eigenvalue allow an absolute FLOAT_TOL; the trace gap allows
+    FLOAT_TOL * max(1, sum(a)), both for majorizes and for the raise.
     """
     if not is_connected(g):
         raise DisconnectedGraph("majorization is stated for connected graphs")
-    den, rows = scaled_schur(g, shift=True) if scaled is None else scaled
-    spectrum = eigen_sym([[x / den for x in row] for row in rows], tol)
+    den, rows = scaled_schur(g) if scaled is None else scaled
+    spectrum = eigen_sym([[x / den for x in row] for row in rows])
     m = g.m
     dd = degrees(g)
     a = dd.a
@@ -267,8 +273,8 @@ def majorization_report(
         numer = sum((prefix & ~t).bit_count() * (t & ~prefix).bit_count() * w for t, w in weighted)
         defects.append(Fraction(numer, k * lcm_b))
     trace_gap = abs(sum(spectrum.values) - sum(a))
-    trace_tol = tol * max(1.0, float(sum(a)))
-    majorizes = all(gap >= -tol for gap in gaps) and trace_gap <= trace_tol
+    trace_tol = FLOAT_TOL * max(1.0, float(sum(a)))
+    majorizes = all(gap >= -FLOAT_TOL for gap in gaps) and trace_gap <= trace_tol
     report = SpectralReport(
         spectrum=spectrum,
         a_sorted=a_sorted,
@@ -278,7 +284,7 @@ def majorization_report(
         majorizes=majorizes,
     )
     for k, (gap, defect) in enumerate(zip(gaps, defects), start=1):
-        if gap < float(defect) - tol:
+        if gap < float(defect) - FLOAT_TOL:
             raise IdentityViolation(
                 f"partial sum gap {gap!r} at k={k} fell below the defect sum "
                 f"{defect} for:\n{write_graph(g)}"
@@ -287,7 +293,7 @@ def majorization_report(
         raise IdentityViolation(
             f"trace gap {trace_gap!r} out of tolerance for:\n{write_graph(g)}"
         )
-    if spectrum.values[-1] <= tol:
+    if spectrum.values[-1] <= FLOAT_TOL:
         raise IdentityViolation(
             f"smallest eigenvalue {spectrum.values[-1]!r} is not positive for:\n{write_graph(g)}"
         )

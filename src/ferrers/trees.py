@@ -102,9 +102,9 @@ def check_reduction(
 ) -> bool:
     """Exact identity tau * m * n = (prod of y-degrees) * det M.
 
-    tau and scaled, the (D, rows) pair of scaled_schur(g, shift=True), may be
-    passed in when already computed.  det(D*M) = D^m det M is taken by
-    bareiss_det on a copy of the rows, so the identity is checked as
+    tau and scaled, the (D, rows) pair of scaled_schur(g), may be passed in
+    when already computed.  det(D*M) = D^m det M is taken by bareiss_det on a
+    copy of the rows, so the identity is checked as
     tau * m * n * D^m = (prod b) * det(D*M) in integers; a mismatch raises
     with both sides shown as rationals.
     """
@@ -112,7 +112,7 @@ def check_reduction(
         raise DisconnectedGraph("the reduction identity applies to connected graphs")
     if tau is None:
         tau = tau_matrix_tree(g)
-    den, rows = scaled_schur(g, shift=True) if scaled is None else scaled
+    den, rows = scaled_schur(g) if scaled is None else scaled
     scale = den**g.m
     left = tau * g.m * g.n * scale
     right = prod(degrees(g).b) * bareiss_det([row[:] for row in rows])

@@ -35,12 +35,12 @@ from .graphs import (
 )
 from .linalg import matrix_M, rat_str, scaled_schur
 from .spectral import majorization_report
-from .trees import check_reduction, tau_brute_force, tau_matrix_tree
+from .trees import check_reduction, ferrers_invariant, tau_brute_force, tau_matrix_tree
 
 
 @dataclass(frozen=True)
 class VerificationRecord:
-    """Everything checked for one graph; the verdicts use exact integers only."""
+    """Everything checked for one graph; the verdicts use exact rationals only."""
 
     graph: BipartiteGraph
     tau: int
@@ -50,6 +50,17 @@ class VerificationRecord:
     ferrers: bool
     reduction_ok: bool
     majorizes: bool
+
+    @property
+    def failures(self) -> list[str]:
+        """Failed categories in campaign order: inequality, equality, reduction, majorization."""
+        checks = (
+            ("inequality", self.inequality_ok),
+            ("equality", self.equality == self.ferrers),
+            ("reduction", self.reduction_ok),
+            ("majorization", self.majorizes),
+        )
+        return [category for category, ok in checks if not ok]
 
 
 def record_dict(rec: VerificationRecord) -> dict:
@@ -66,38 +77,37 @@ def record_dict(rec: VerificationRecord) -> dict:
     }
 
 
-def verify_graph(g: BipartiteGraph, tol: float = 1e-9) -> VerificationRecord:
+def verify_graph(g: BipartiteGraph) -> VerificationRecord:
     """Verify one connected graph: bound, equality vs staircase shape, cross-checks.
 
-    The inequality and equality verdicts compare tau*m*n against the degree
-    product as exact integers.  The reduction identity and the majorization
-    certificate run as well, on the integer rows of D*M built once by
-    scaled_schur, and land in their boolean fields; a failed cross-check
-    while building D*M counts against the reduction, and the majorization
-    report then builds the rows itself.
+    The inequality and equality verdicts compare tau against
+    F = ferrers_invariant(g) as exact rationals.  The reduction identity and
+    the majorization certificate run as well, on the integer rows of D*M
+    built once by scaled_schur, and land in their boolean fields; a failed
+    cross-check while building D*M counts against the reduction, and the
+    majorization report then builds the rows itself.  The float comparisons
+    inside the report follow spectral.FLOAT_TOL.
     """
     if not is_connected(g):
         raise DisconnectedGraph("verification needs a connected graph")
     tau = tau_matrix_tree(g)
     scaled = None
     try:
-        scaled = scaled_schur(g, shift=True)
+        scaled = scaled_schur(g)
         reduction_ok = check_reduction(g, tau=tau, scaled=scaled)
     except IdentityViolation:
         reduction_ok = False
     try:
-        majorizes = majorization_report(g, tol, scaled=scaled).majorizes
+        majorizes = majorization_report(g, scaled=scaled).majorizes
     except IdentityViolation:
         majorizes = False
-    dd = degrees(g)
-    degree_product = prod(dd.a) * prod(dd.b)
-    tau_mn = tau * g.m * g.n
+    F = ferrers_invariant(g)
     return VerificationRecord(
         graph=g,
         tau=tau,
-        F=Fraction(degree_product, g.m * g.n),
-        inequality_ok=tau_mn <= degree_product,
-        equality=tau_mn == degree_product,
+        F=F,
+        inequality_ok=tau <= F,
+        equality=tau == F,
         ferrers=is_ferrers(g),
         reduction_ok=reduction_ok,
         majorizes=majorizes,
@@ -143,20 +153,10 @@ def summary_dict(s: CampaignSummary) -> dict:
 
 
 def _examine(
-    g: BipartiteGraph,
-    tol: float,
-    oracle_edge_cap: int | None,
+    g: BipartiteGraph, oracle_edge_cap: int | None
 ) -> tuple[VerificationRecord, list[str], bool]:
-    rec = verify_graph(g, tol)
-    bad = []
-    if not rec.inequality_ok:
-        bad.append("inequality")
-    if rec.equality != rec.ferrers:
-        bad.append("equality")
-    if not rec.reduction_ok:
-        bad.append("reduction")
-    if not rec.majorizes:
-        bad.append("majorization")
+    rec = verify_graph(g)
+    bad = rec.failures
     oracled = False
     if oracle_edge_cap is not None and g.edge_count <= oracle_edge_cap:
         oracled = True
@@ -171,7 +171,7 @@ def _examine(
 
 
 def _run_chunk(task) -> dict:
-    (m, n, lo, hi, tol, oracle_edge_cap, fail_fast, collect) = task
+    (m, n, lo, hi, oracle_edge_cap, fail_fast, collect) = task
     checked = equality = ferrers = oracled = 0
     failures: dict[str, int] = {}
     examples: dict[str, str] = {}
@@ -180,7 +180,7 @@ def _run_chunk(task) -> dict:
         if not _mask_connected(m, n, mask):
             continue
         g = graph_from_mask(m, n, mask)
-        rec, bad, used_oracle = _examine(g, tol, oracle_edge_cap)
+        rec, bad, used_oracle = _examine(g, oracle_edge_cap)
         checked += 1
         equality += rec.equality
         ferrers += rec.ferrers
@@ -213,7 +213,6 @@ _CHUNK_MASKS = 1 << 13
 
 def _chunk_tasks(
     pairs: Sequence[tuple[int, int]],
-    tol: float,
     oracle_edge_cap: int | None,
     fail_fast: bool,
     collect: bool,
@@ -223,7 +222,7 @@ def _chunk_tasks(
         total = 1 << (m * n)
         for lo in range(0, total, _CHUNK_MASKS):
             hi = min(lo + _CHUNK_MASKS, total)
-            tasks.append((m, n, lo, hi, tol, oracle_edge_cap, fail_fast, collect))
+            tasks.append((m, n, lo, hi, oracle_edge_cap, fail_fast, collect))
     return tasks
 
 
@@ -231,7 +230,6 @@ def verify_pairs(
     pairs: Iterable[tuple[int, int]],
     *,
     cap: int = DEFAULT_CAP,
-    tol: float = 1e-9,
     workers: int | None = None,
     oracle_edge_cap: int | None = None,
     fail_fast: bool = True,
@@ -255,7 +253,7 @@ def verify_pairs(
         if m * n > cap:
             raise CapExceeded(f"pair ({m}, {n}) exceeds the enumeration cap {cap}")
     start = time.perf_counter()
-    tasks = _chunk_tasks(pair_list, tol, oracle_edge_cap, fail_fast, emit is not None)
+    tasks = _chunk_tasks(pair_list, oracle_edge_cap, fail_fast, emit is not None)
     checked = equality = ferrers = oracled = 0
     failure_counts: dict[str, int] = {}
     failure_examples: dict[str, str] = {}
@@ -301,7 +299,6 @@ def verify_range(
     n_max: int,
     *,
     cap: int = DEFAULT_CAP,
-    tol: float = 1e-9,
     workers: int | None = None,
     emit: Callable[[dict], None] | None = None,
 ) -> CampaignSummary:
@@ -317,7 +314,6 @@ def verify_range(
     return verify_pairs(
         pairs,
         cap=cap,
-        tol=tol,
         workers=workers,
         fail_fast=True,
         emit=emit,

@@ -21,11 +21,11 @@ def _never_ferrers(g):
     return False
 
 
-def _failed_M_build(g, *, shift=False):
+def _failed_M_build(g):
     raise IdentityViolation("corrupted D*M rows")
 
 
-def _failed_majorization(g, tol=1e-9, *, scaled=None):
+def _failed_majorization(g, *, scaled=None):
     raise IdentityViolation("corrupted majorization certificate")
 
 

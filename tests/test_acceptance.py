@@ -27,7 +27,13 @@ from ferrers.graphs import (
     is_ferrers,
 )
 from ferrers.linalg import RationalMatrix, matrix_M, projection_P, projection_Q
-from ferrers.spectral import kyfan_check, majorization_report, overlap_defect, overlap_trace
+from ferrers.spectral import (
+    FLOAT_TOL,
+    kyfan_check,
+    majorization_report,
+    overlap_defect,
+    overlap_trace,
+)
 from ferrers.trees import ferrers_invariant, tau_matrix_tree
 from ferrers.verify import corollary_check, equality_flag_diagonalization, verify_pairs
 
@@ -36,7 +42,6 @@ SWEEP_PAIRS = tuple(
     (m, n) for m in range(1, 17) for n in range(1, 17) if m * n <= 16
 )
 ORACLE_EDGE_CAP = 14
-FLOAT_TOL = 1e-9
 
 HEX = BipartiteGraph(3, 3, (0b011, 0b110, 0b101))
 
@@ -53,7 +58,6 @@ def sweep():
     return verify_pairs(
         SWEEP_PAIRS,
         cap=16,
-        tol=FLOAT_TOL,
         oracle_edge_cap=ORACLE_EDGE_CAP,
         fail_fast=False,
     )
@@ -155,7 +159,7 @@ def test_criterion_5_projection_algebra(sweep):
 
 def test_criterion_6_majorization_certificate(sweep):
     bad = sweep.failure_counts.get("majorization", 0)
-    rep = majorization_report(HEX, FLOAT_TOL)
+    rep = majorization_report(HEX)
     spot = (
         rep.spectrum.values[0] == pytest.approx(3.0, abs=FLOAT_TOL)
         and rep.spectrum.values[1] == pytest.approx(1.5, abs=FLOAT_TOL)
@@ -191,7 +195,7 @@ def test_criterion_7_kyfan_maximum_principle():
                 [sum(u[i] * u[j] for u in basis) for j in range(6)]
                 for i in range(6)
             ]
-            assert kyfan_check(s, p, k, FLOAT_TOL)
+            assert kyfan_check(s, p, k)
             checks += 1
     _criterion(
         7,

@@ -117,9 +117,6 @@ class TestSpectralVerbs:
         main(["majorize", hexfile])
         assert capsys.readouterr().out == first
 
-    def test_tol_accepted(self, hexfile):
-        assert main(["spectrum", hexfile, "--tol", "1e-6"]) == 0
-
 
 class TestOverlap:
     def test_frozen_pair(self, capsys):
@@ -295,6 +292,9 @@ class TestErrorPaths:
             ["overlap", "0,1", "1,2", "3", "--cap", "4"],
             ["check", "HEX", "--fault-inject"],
             ["verify", "1", "1", "--fault-inject"],
+            ["check", "HEX", "--tol", "1e-6"],
+            ["spectrum", "HEX", "--tol", "1e-6"],
+            ["verify", "1", "1", "--tol", "1e-6"],
         ],
     )
     def test_flag_of_another_verb_rejected(self, argv, hexfile):

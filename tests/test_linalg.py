@@ -84,17 +84,13 @@ class TestRationalMatrix:
         a = RationalMatrix([[1, 2], [3, 4]])
         b = RationalMatrix.identity(2)
         assert a + b == RationalMatrix([[2, 2], [3, 5]])
-        assert a - a == RationalMatrix.zeros(2)
         assert a * b == a
         assert 2 * a == a.scale(2) == a * 2
         assert a * a == RationalMatrix([[7, 10], [15, 22]])
 
     def test_transpose_trace_symmetry(self):
         a = RationalMatrix([[1, 2], [3, 4]])
-        assert a.transpose() == RationalMatrix([[1, 3], [2, 4]])
         assert a.trace() == 5
-        assert not a.is_symmetric()
-        assert (a + a.transpose()).is_symmetric()
 
     def test_mul_vec(self):
         a = RationalMatrix([[1, 2], [3, 4]])
@@ -118,10 +114,6 @@ class TestRationalMatrix:
             a.delete_row_col(3)
         with pytest.raises(DimensionError):
             RationalMatrix([[1]]).delete_row_col(0)
-
-    def test_dump(self):
-        text = RationalMatrix([[1, Fraction(-1, 2)], [0, 2]]).dump()
-        assert text == "1/1\t-1/2\n0/1\t2/1"
 
 
 class TestDeterminant:
@@ -181,7 +173,7 @@ class TestLaplacian:
     def test_row_sums_vanish(self, mn):
         m, nbrs = mn
         lap = laplacian(BipartiteGraph(m, len(nbrs), tuple(nbrs)))
-        assert lap.is_symmetric()
+        assert lap.rows == tuple(zip(*lap.rows))
         ones = tuple(Fraction(1) for _ in range(lap.dim))
         assert lap.mul_vec(ones) == tuple(Fraction(0) for _ in range(lap.dim))
 

@@ -87,10 +87,11 @@ class TestEigenSym:
         with pytest.raises(ValueError):
             eigen_sym([[1.0, 2.0], [0.0, 1.0]])
 
-    def test_unreachable_tolerance_reported(self):
-        # tol below any attainable residual must surface as NonConvergence.
+    def test_unreachable_tolerance_reported(self, monkeypatch):
+        # A tolerance below any attainable residual must surface as NonConvergence.
+        monkeypatch.setattr("ferrers.spectral.FLOAT_TOL", -1.0)
         with pytest.raises(NonConvergence):
-            eigen_sym(matrix_M(HEX), tol=-1.0)
+            eigen_sym(matrix_M(HEX))
 
     def test_vectors_are_orthonormal(self):
         rng = random.Random(11)
@@ -122,7 +123,9 @@ class TestEigenSym:
     @settings(max_examples=50)
     def test_spectral_contract(self, d, rnd):
         mat = random_symmetric(rnd, d)
-        s = eigen_sym(mat, tol=1e-8)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("ferrers.spectral.FLOAT_TOL", 1e-8)
+            s = eigen_sym(mat)
         assert all(s.values[i] >= s.values[i + 1] for i in range(d - 1))
         trace = sum(mat[i][i] for i in range(d))
         assert sum(s.values) == pytest.approx(trace, abs=1e-8)
@@ -262,7 +265,7 @@ class TestMajorization:
             majorization_report(BipartiteGraph(2, 2, (0b01, 0b10)))
 
     def test_precomputed_matrix_accepted(self):
-        rep = majorization_report(HEX, scaled=scaled_schur(HEX, shift=True))
+        rep = majorization_report(HEX, scaled=scaled_schur(HEX))
         assert rep.majorizes
 
     def test_gap_dominates_defect_everywhere(self):
@@ -275,20 +278,24 @@ class TestMajorization:
                 for gap, defect in zip(rep.partial_gaps, rep.defect_sums):
                     assert gap >= float(defect) - 1e-9
 
-    def test_trace_gap_tolerance_is_relative(self):
-        # tol is scaled by max(1, sum(a)) = 6 on the hexagon, for the verdict
-        # and the raise alike: a trace gap of 3 tol passes both.
+    def test_trace_gap_tolerance_is_relative(self, monkeypatch):
+        # FLOAT_TOL is scaled by max(1, sum(a)) = 6 on the hexagon, for the
+        # verdict and the raise alike: a trace gap of 3 FLOAT_TOL passes both,
+        # and fails once FLOAT_TOL is ten times smaller.
         # M + tol*I with tol = p/q is the integer pair (D*q, q*(D*M) + p*D*I).
         tol = 1e-9
         p, q = Fraction(tol).as_integer_ratio()
-        den, rows = scaled_schur(HEX, shift=True)
-        shifted = [
+        den, rows = scaled_schur(HEX)
+        perturbed = [
             [q * x + (p * den if i == k else 0) for k, x in enumerate(row)]
             for i, row in enumerate(rows)
         ]
-        rep = majorization_report(HEX, tol, scaled=(den * q, shifted))
+        rep = majorization_report(HEX, scaled=(den * q, perturbed))
         assert tol < rep.trace_gap < 6 * tol
         assert rep.majorizes
+        monkeypatch.setattr("ferrers.spectral.FLOAT_TOL", 1e-10)
+        with pytest.raises(IdentityViolation, match="trace gap"):
+            majorization_report(HEX, scaled=(den * q, perturbed))
 
     def test_wrong_matrix_caught(self):
         # Feeding the wrong M must trip one of the exact consistency checks.

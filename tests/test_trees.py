@@ -164,23 +164,23 @@ class TestReduction:
             check_reduction(g)
 
     def test_precomputed_arguments_accepted(self):
-        check_reduction(HEX, tau=6, scaled=scaled_schur(HEX, shift=True))
+        check_reduction(HEX, tau=6, scaled=scaled_schur(HEX))
 
     @pytest.mark.parametrize("delta", [1, -1])
     def test_perturbed_off_diagonal_pair_caught(self, delta):
-        den, rows = scaled_schur(HEX, shift=True)
+        den, rows = scaled_schur(HEX)
         rows[0][1] += delta
         rows[1][0] += delta
         with pytest.raises(IdentityViolation, match=r"^tau\*m\*n = 54 but "):
             check_reduction(HEX, scaled=(den, rows))
 
     def test_doubled_denominator_caught(self):
-        den, rows = scaled_schur(HEX, shift=True)
+        den, rows = scaled_schur(HEX)
         with pytest.raises(IdentityViolation, match=r"^tau\*m\*n = 54 but "):
             check_reduction(HEX, scaled=(2 * den, rows))
 
     def test_precomputed_rows_left_unchanged(self):
-        den, rows = scaled_schur(HEX, shift=True)
+        den, rows = scaled_schur(HEX)
         kept = [row[:] for row in rows]
         check_reduction(HEX, scaled=(den, rows))
         assert rows == kept
