@@ -3,8 +3,11 @@
 The toolkit proves, at desk scale and in exact arithmetic, that a connected
 bipartite graph has at most (1/mn) * prod(deg) spanning trees, with equality
 exactly for the staircase graphs whose Y-neighborhoods nest.  Everything on
-the certified path runs over integers or Fractions; floating point appears
-only in the eigensolver, always beside an exact cross-check.
+the certified path runs over integers or Fractions, the spectral
+majorization step included (certify_majorization: Ky Fan's maximum
+principle and Sylvester's criterion, checked in integers).  Floating point
+appears only in the Jacobi eigensolver, which reports the spectrum and
+cross-checks that certificate; no verdict reads it.
 """
 
 from .errors import (
@@ -40,6 +43,7 @@ from .linalg import (
     RationalMatrix,
     bareiss_det,
     laplacian,
+    leading_minors,
     matrix_M,
     projection_P,
     projection_Q,
@@ -50,6 +54,7 @@ from .linalg import (
 from .spectral import (
     SpectralReport,
     Spectrum,
+    certify_majorization,
     eigen_sym,
     kyfan_check,
     majorization_report,
@@ -104,6 +109,7 @@ __all__ = [
     "bit_indices",
     "bozkurt_bound",
     "canonical_form",
+    "certify_majorization",
     "check_reduction",
     "corollary_check",
     "degrees",
@@ -118,6 +124,7 @@ __all__ = [
     "is_ferrers",
     "kyfan_check",
     "laplacian",
+    "leading_minors",
     "majorization_report",
     "matrix_M",
     "overlap_defect",

@@ -2,10 +2,11 @@
 
 Graphs are read from a file argument or stdin in the neighborhood-list text
 format; a "biadj" first line or the --biadj flag switches to 0/1 matrix rows.
-Every verb honors --format json|csv|plain.  Floating comparisons in check,
-spectrum and verify use the fixed spectral.FLOAT_TOL, so no verb takes a
-tolerance.  Exit codes: 0 on success, 1 when a theorem check fails (a
-counterexample to the bound or a failed cross-check), 2 on bad input.
+Every verb honors --format json|csv|plain.  check and verify decide every
+verdict exactly; only spectrum (alias majorize) compares floats, at the
+fixed spectral.FLOAT_TOL, so no verb takes a tolerance.  Exit codes: 0 on
+success, 1 when a theorem check fails (a counterexample to the bound or a
+failed cross-check), 2 on bad input.
 """
 
 from __future__ import annotations

@@ -62,6 +62,32 @@ def bareiss_det(rows: list[list[int]]) -> int:
     return sign * rows[d - 1][d - 1]
 
 
+def leading_minors(rows: list[list[int]]) -> list[int]:
+    """Leading principal minors of an integer matrix, by Bareiss with no row swap.
+
+    Mutates its argument.  Without swaps the k-th pivot of fraction-free
+    elimination is the determinant of the leading k x k block (Bareiss 1968),
+    so the last of d minors is the determinant.  Elimination stops at the
+    first zero pivot, which is then the last entry of a shorter list.
+    """
+    d = len(rows)
+    minors = []
+    prev = 1
+    for k in range(d):
+        rk = rows[k]
+        pivot = rk[k]
+        minors.append(pivot)
+        if pivot == 0:
+            break
+        for i in range(k + 1, d):
+            ri = rows[i]
+            rik = ri[k]
+            for j in range(k + 1, d):
+                ri[j] = (ri[j] * pivot - rik * rk[j]) // prev
+        prev = pivot
+    return minors
+
+
 class RationalMatrix:
     """Immutable square matrix with Fraction entries."""
 
@@ -294,7 +320,8 @@ def matrix_M(g: BipartiteGraph) -> RationalMatrix:
 
     Equal to the sum of the rank-|T_j| projections Q over the neighborhoods.
     The readable Fraction view of the rows of scaled_schur(g); verify_graph,
-    check_reduction and majorization_report read those integer rows directly.
+    check_reduction, certify_majorization and majorization_report read those
+    integer rows directly.
     """
     if not is_connected(g):
         raise DisconnectedGraph("M is only defined for connected graphs")

@@ -1,8 +1,11 @@
 """Floating eigensolver, exact overlap formulas, and the majorization certificate.
 
-Eigenvalues are the one place floating point is allowed.  Overlap traces and
-defects stay exact rationals; the two meet only inside SpectralReport.  Every
-floating comparison follows one rule, read from FLOAT_TOL at call time:
+certify_majorization decides majorization and M > 0 exactly, in integers, by
+Ky Fan's maximum principle and Sylvester's criterion; it is what a
+verification record reports.  Eigenvalues are the one place floating point is
+allowed: majorization_report sets the Jacobi spectrum beside the exact
+overlap defects, as a float cross-check.  Every floating comparison follows
+one rule, read from FLOAT_TOL at call time:
 
 - absolute FLOAT_TOL for the Jacobi residual, the partial-sum gaps, the
   defect comparison, the smallest eigenvalue and the projection checks;
@@ -20,7 +23,7 @@ from typing import Sequence
 
 from .errors import DisconnectedGraph, IdentityViolation, NonConvergence
 from .graphs import BipartiteGraph, degrees, is_connected, write_graph
-from .linalg import RationalMatrix, projection_Q, rat_str, scaled_schur
+from .linalg import RationalMatrix, leading_minors, projection_Q, rat_str, scaled_schur
 
 FLOAT_TOL = 1e-9
 OFF_DIAGONAL_TOL = 1e-12
@@ -51,17 +54,20 @@ def eigen_sym(mat: RationalMatrix | FloatMatrix) -> Spectrum:
     Sweeps rotate away every off-diagonal entry larger than 1e-12 in absolute
     value and stop when a full sweep does nothing, capped at 100 sweeps.  The
     residual max over eigenpairs of |A v - lambda v| is measured against the
-    original matrix and must come in under FLOAT_TOL.
+    original matrix and must come in under FLOAT_TOL.  The entries are
+    converted to float once, into the working copy the sweeps rotate; the
+    residual reads the input rows as given (a RationalMatrix through one
+    float copy).
     """
-    a = _as_float_rows(mat)
-    d = len(a)
-    if any(len(row) != d for row in a):
+    orig = mat.to_floats() if isinstance(mat, RationalMatrix) else mat
+    d = len(orig)
+    if any(len(row) != d for row in orig):
         raise ValueError("matrix must be square")
+    a = [[float(x) for x in row] for row in orig]
     for i in range(d):
         for k in range(i + 1, d):
             if abs(a[i][k] - a[k][i]) > _SYM_TOL:
                 raise ValueError(f"matrix is not symmetric at ({i},{k})")
-    orig = [row[:] for row in a]
     for i in range(d):
         for k in range(i + 1, d):
             v = 0.5 * (a[i][k] + a[k][i])
@@ -227,14 +233,99 @@ def report_dict(report: SpectralReport) -> dict:
     }
 
 
+def _prefix_defects(g: BipartiteGraph) -> tuple[tuple[int, ...], list[int], int, list[int]]:
+    """X-degrees a, the degree order, L and the defect numerators of its prefixes.
+
+    The order sorts the X-vertices by decreasing degree, ties by index;
+    [k] is its first k entries.  L is the lcm of the neighborhood sizes
+    |T_j|, read from g.  For k = 1..m-1,
+    numers[k-1] = sum_j |[k] minus T_j| * |T_j minus [k]| * L / |T_j|,
+    so the total overlap defect of [k] is numers[k-1] / (k L).
+    """
+    dd = degrees(g)
+    a = dd.a
+    lcm_b = lcm(*dd.b)
+    weighted = [(t, lcm_b // b) for t, b in zip(g.nbrs, dd.b)]
+    order = sorted(range(g.m), key=lambda i: (-a[i], i))
+    prefix = 0
+    numers = []
+    for i in order[:-1]:
+        prefix |= 1 << i
+        numers.append(
+            sum((prefix & ~t).bit_count() * (t & ~prefix).bit_count() * w for t, w in weighted)
+        )
+    return a, order, lcm_b, numers
+
+
+def certify_majorization(
+    g: BipartiteGraph,
+    *,
+    scaled: tuple[int, list[list[int]]] | None = None,
+) -> list[int]:
+    """Exact certificate that M > 0 and that its spectrum majorizes the X-degrees.
+
+    Works on R = D*M, the integer rows of scaled_schur(g) (scaled may pass
+    them in; they are not modified).  For each prefix I = [k] of the degree
+    order, k = 1..m-1, Q_I = P_I + J/m is a rank-k orthogonal projection and
+    M is the sum of the Q_(T_j), so tr(Q_I M) = sum(a_i, i in I) + the total
+    overlap defect of I.  Times D*k*m*L, with numer and L from the defect
+    sums of majorization_report, that is the integer identity
+
+        L*(m*k*sum(R_ii, i in I) - m*sum(R_il, (i, l) in IxI) + k*sum(R))
+            == D*m*(L*k*sum(a_i, i in I) + numer),
+
+    checked exactly beside R symmetric and tr R = D*sum(a).  By Ky Fan's
+    maximum principle (Fan 1949) the k largest eigenvalues of M sum to at
+    least tr(Q_I M) >= sum(a_i, i in I), the k largest degrees, and the
+    traces agree, so the spectrum majorizes a.  Bareiss elimination with no
+    row swap then gives the leading principal minors of R (leading_minors);
+    all of them positive is Sylvester's criterion for M > 0.  Returns those
+    minors, the last being det(D*M); any failure raises IdentityViolation
+    with the graph serialized.  No floating point is involved.
+    """
+    if not is_connected(g):
+        raise DisconnectedGraph("majorization is stated for connected graphs")
+    den, rows = scaled_schur(g) if scaled is None else scaled
+    m = g.m
+    a, order, lcm_b, numers = _prefix_defects(g)
+    if any(list(col) != row for row, col in zip(rows, zip(*rows))):
+        raise IdentityViolation(f"D*M is not symmetric for:\n{write_graph(g)}")
+    if sum(rows[i][i] for i in range(m)) != den * sum(a):
+        raise IdentityViolation(f"tr(D*M) differs from D*sum(a) for:\n{write_graph(g)}")
+    total = sum(map(sum, rows))
+    diag = block = deg = 0
+    for k, numer in enumerate(numers, start=1):
+        i = order[k - 1]
+        ri = rows[i]
+        diag += ri[i]
+        block += ri[i] + 2 * sum(ri[l] for l in order[: k - 1])
+        deg += a[i]
+        left = lcm_b * (m * k * diag - m * block + k * total)
+        right = den * m * (lcm_b * k * deg + numer)
+        if left != right:
+            raise IdentityViolation(
+                f"D*k*m*L*tr(Q_I M) = {left} but D*m*(L*k*sum(a) + numer) = {right} "
+                f"at k={k} for:\n{write_graph(g)}"
+            )
+    minors = leading_minors([row[:] for row in rows])
+    if any(p <= 0 for p in minors):
+        raise IdentityViolation(
+            f"leading minors {minors} of D*M are not all positive, so M is not "
+            f"positive definite, for:\n{write_graph(g)}"
+        )
+    return minors
+
+
 def majorization_report(
     g: BipartiteGraph,
     *,
     scaled: tuple[int, list[list[int]]] | None = None,
 ) -> SpectralReport:
-    """Check that the spectrum of M majorizes the sorted X-degrees.
+    """Float cross-check: the Jacobi spectrum of M against the sorted X-degrees.
 
-    [k] is the set of the k highest-degree X-vertices (ties broken by index).
+    certify_majorization decides the same claims exactly; this report shows
+    the eigenvalues and serves the spectrum verb and the oracle tier of a
+    campaign.  [k] is the set of the k highest-degree X-vertices (ties broken by index).
     Each partial eigenvalue sum must exceed the matching degree sum by at
     least the total overlap defect of [k] against the neighborhoods, the
     traces must agree, and the smallest eigenvalue must stay positive.  Any
@@ -253,24 +344,16 @@ def majorization_report(
         raise DisconnectedGraph("majorization is stated for connected graphs")
     den, rows = scaled_schur(g) if scaled is None else scaled
     spectrum = eigen_sym([[x / den for x in row] for row in rows])
-    m = g.m
-    dd = degrees(g)
-    a = dd.a
-    lcm_b = lcm(*dd.b)
-    weighted = [(t, lcm_b // b) for t, b in zip(g.nbrs, dd.b)]
-    order = sorted(range(m), key=lambda i: (-a[i], i))
+    a, order, lcm_b, numers = _prefix_defects(g)
     a_sorted = tuple(a[i] for i in order)
-    prefix = 0
     gaps = []
     defects = []
     lam_sum = 0.0
     deg_sum = 0
-    for k in range(1, m):
-        prefix |= 1 << order[k - 1]
+    for k, numer in enumerate(numers, start=1):
         lam_sum += spectrum.values[k - 1]
         deg_sum += a_sorted[k - 1]
         gaps.append(lam_sum - deg_sum)
-        numer = sum((prefix & ~t).bit_count() * (t & ~prefix).bit_count() * w for t, w in weighted)
         defects.append(Fraction(numer, k * lcm_b))
     trace_gap = abs(sum(spectrum.values) - sum(a))
     trace_tol = FLOAT_TOL * max(1.0, float(sum(a)))

@@ -99,12 +99,14 @@ def check_reduction(
     *,
     tau: int | None = None,
     scaled: tuple[int, list[list[int]]] | None = None,
+    det: int | None = None,
 ) -> bool:
     """Exact identity tau * m * n = (prod of y-degrees) * det M.
 
-    tau and scaled, the (D, rows) pair of scaled_schur(g), may be passed in
-    when already computed.  det(D*M) = D^m det M is taken by bareiss_det on a
-    copy of the rows, so the identity is checked as
+    tau, scaled (the (D, rows) pair of scaled_schur(g)) and det (det of those
+    rows, such as the last leading minor from certify_majorization) may be
+    passed in when already computed.  Otherwise det(D*M) = D^m det M is taken
+    by bareiss_det on a copy of the rows.  The identity is checked as
     tau * m * n * D^m = (prod b) * det(D*M) in integers; a mismatch raises
     with both sides shown as rationals.
     """
@@ -115,7 +117,9 @@ def check_reduction(
     den, rows = scaled_schur(g) if scaled is None else scaled
     scale = den**g.m
     left = tau * g.m * g.n * scale
-    right = prod(degrees(g).b) * bareiss_det([row[:] for row in rows])
+    if det is None:
+        det = bareiss_det([row[:] for row in rows])
+    right = prod(degrees(g).b) * det
     if left != right:
         raise IdentityViolation(
             f"tau*m*n = {Fraction(left, scale)} but (prod b)*det M = {Fraction(right, scale)}"

@@ -34,7 +34,7 @@ from .graphs import (
     write_graph,
 )
 from .linalg import matrix_M, rat_str, scaled_schur
-from .spectral import majorization_report
+from .spectral import certify_majorization, majorization_report
 from .trees import check_reduction, ferrers_invariant, tau_brute_force, tau_matrix_tree
 
 
@@ -77,30 +77,46 @@ def record_dict(rec: VerificationRecord) -> dict:
     }
 
 
-def verify_graph(g: BipartiteGraph) -> VerificationRecord:
+def verify_graph(
+    g: BipartiteGraph,
+    *,
+    tau: int | None = None,
+    scaled: tuple[int, list[list[int]]] | None = None,
+) -> VerificationRecord:
     """Verify one connected graph: bound, equality vs staircase shape, cross-checks.
 
     The inequality and equality verdicts compare tau against
     F = ferrers_invariant(g) as exact rationals.  The reduction identity and
-    the majorization certificate run as well, on the integer rows of D*M
-    built once by scaled_schur, and land in their boolean fields; a failed
-    cross-check while building D*M counts against the reduction, and the
-    majorization report then builds the rows itself.  The float comparisons
-    inside the report follow spectral.FLOAT_TOL.
+    the exact majorization certificate (certify_majorization) run as well,
+    on the integer rows of D*M built once by scaled_schur, and land in their
+    boolean fields; no eigenvalue is computed.  The certificate's no-swap
+    elimination gives det(D*M) to the reduction, which takes the determinant
+    with row swaps itself when the certificate fails.  A failed cross-check
+    while building D*M counts against the reduction, and the certificate
+    then builds the rows itself.  tau and scaled, the (D, rows) pair of
+    scaled_schur(g), may be passed in when already computed.
     """
     if not is_connected(g):
         raise DisconnectedGraph("verification needs a connected graph")
-    tau = tau_matrix_tree(g)
-    scaled = None
+    if tau is None:
+        tau = tau_matrix_tree(g)
+    if scaled is None:
+        try:
+            scaled = scaled_schur(g)
+        except IdentityViolation:
+            pass
     try:
-        scaled = scaled_schur(g)
-        reduction_ok = check_reduction(g, tau=tau, scaled=scaled)
+        det = certify_majorization(g, scaled=scaled)[-1]
+        majorizes = True
+    except IdentityViolation:
+        det = None
+        majorizes = False
+    try:
+        reduction_ok = scaled is not None and check_reduction(
+            g, tau=tau, scaled=scaled, det=det
+        )
     except IdentityViolation:
         reduction_ok = False
-    try:
-        majorizes = majorization_report(g, scaled=scaled).majorizes
-    except IdentityViolation:
-        majorizes = False
     F = ferrers_invariant(g)
     return VerificationRecord(
         graph=g,
@@ -121,7 +137,8 @@ class CampaignSummary:
     failure_counts and failure_examples hold the failed checks by category;
     they stay empty on the fail-fast path, where the campaign aborts instead.
     violations is their total.  oracle_checked counts graphs that also went
-    through the brute-force and deletion-independence cross-checks.
+    through the brute-force, deletion-independence and Jacobi spectrum
+    cross-checks.
     """
 
     dims: tuple[int, int]
@@ -155,19 +172,37 @@ def summary_dict(s: CampaignSummary) -> dict:
 def _examine(
     g: BipartiteGraph, oracle_edge_cap: int | None
 ) -> tuple[VerificationRecord, list[str], bool]:
-    rec = verify_graph(g)
+    """Record and failed categories for one graph, and whether the oracles ran.
+
+    Oracled graphs take tau from the all-deletions check, so it is computed
+    once, and the rows of D*M are built once for the record and the Jacobi
+    report; when either fails here, verify_graph tries again itself.  The
+    report is the float cross-check of the exact majorization certificate;
+    an IdentityViolation there counts as "spectrum".
+    """
+    if oracle_edge_cap is None or g.edge_count > oracle_edge_cap:
+        rec = verify_graph(g)
+        return rec, rec.failures, False
+    try:
+        tau = tau_matrix_tree(g, check_all_deletions=True)
+    except IdentityViolation:
+        tau = None
+    try:
+        scaled = scaled_schur(g)
+    except IdentityViolation:
+        scaled = None
+    rec = verify_graph(g, tau=tau, scaled=scaled)
     bad = rec.failures
-    oracled = False
-    if oracle_edge_cap is not None and g.edge_count <= oracle_edge_cap:
-        oracled = True
-        try:
-            tau_matrix_tree(g, check_all_deletions=True)
-        except IdentityViolation:
-            bad.append("deletion")
-        brute, _ = tau_brute_force(g, cap=oracle_edge_cap)
-        if brute != rec.tau:
-            bad.append("oracle")
-    return rec, bad, oracled
+    if tau is None:
+        bad.append("deletion")
+    brute, _ = tau_brute_force(g, cap=oracle_edge_cap)
+    if brute != rec.tau:
+        bad.append("oracle")
+    try:
+        majorization_report(g, scaled=scaled)
+    except IdentityViolation:
+        bad.append("spectrum")
+    return rec, bad, True
 
 
 def _run_chunk(task) -> dict:

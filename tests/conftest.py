@@ -25,8 +25,12 @@ def _failed_M_build(g):
     raise IdentityViolation("corrupted D*M rows")
 
 
-def _failed_majorization(g, *, scaled=None):
+def _failed_certificate(g, *, scaled=None):
     raise IdentityViolation("corrupted majorization certificate")
+
+
+def _failed_spectrum(g, *, scaled=None):
+    raise IdentityViolation("corrupted Jacobi spectrum")
 
 
 def _deletion_disagrees(g, *, check_all_deletions=False):
@@ -44,9 +48,10 @@ CORRUPTIONS = {
     "inequality": ("tau_matrix_tree", _tau_plus_one),
     "equality": ("is_ferrers", _never_ferrers),
     "reduction": ("scaled_schur", _failed_M_build),
-    "majorization": ("majorization_report", _failed_majorization),
+    "majorization": ("certify_majorization", _failed_certificate),
     "deletion": ("tau_matrix_tree", _deletion_disagrees),
     "oracle": ("tau_brute_force", _brute_force_plus_one),
+    "spectrum": ("majorization_report", _failed_spectrum),
 }
 
 

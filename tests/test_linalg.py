@@ -3,20 +3,24 @@
 from fractions import Fraction
 from math import prod
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ferrers.errors import DimensionError, DisconnectedGraph, IdentityViolation, IsolatedVertex
-from ferrers.graphs import BipartiteGraph, DegreeData, degrees, is_connected
+from ferrers.graphs import DEFAULT_CAP, BipartiteGraph, DegreeData, degrees, is_connected
 from ferrers.linalg import (
     RationalMatrix,
     bareiss_det,
     laplacian,
+    leading_minors,
     matrix_M,
     projection_P,
     projection_Q,
     rat_str,
+    scaled_schur,
     schur_LX,
 )
 
@@ -71,6 +75,45 @@ class TestBareiss:
         rows = [[rnd.randint(-6, 6) for _ in range(dim)] for _ in range(dim)]
         expected = cofactor_det([[Fraction(v) for v in row] for row in rows])
         assert bareiss_det([row[:] for row in rows]) == expected
+
+
+class TestLeadingMinors:
+    def test_known_values(self):
+        assert leading_minors([[5]]) == [5]
+        assert leading_minors([[2, 1], [1, 2]]) == [2, 3]
+        assert leading_minors([[2, 0, 0], [0, 3, 0], [0, 0, 4]]) == [2, 6, 24]
+
+    def test_stops_at_a_zero_pivot_without_swapping(self):
+        assert leading_minors([[0, 1], [1, 0]]) == [0]
+        assert leading_minors([[1, 1, 0], [1, 1, 0], [0, 0, 1]]) == [1, 0]
+
+    @given(st.integers(1, 5), st.randoms(use_true_random=False))
+    def test_match_cofactor_minors(self, dim, rnd):
+        rows = [[rnd.randint(-6, 6) for _ in range(dim)] for _ in range(dim)]
+        expected = []
+        for k in range(1, dim + 1):
+            expected.append(cofactor_det([[Fraction(v) for v in row[:k]] for row in rows[:k]]))
+            if expected[-1] == 0:
+                break
+        assert leading_minors([row[:] for row in rows]) == expected
+
+    def test_determinant_matches_sympy_above_the_brute_force_cap(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(20261018)
+        checked = 0
+        while checked < 12:
+            m, n = rng.randint(5, 8), rng.randint(5, 8)
+            g = BipartiteGraph(m, n, tuple(rng.randint(1, (1 << m) - 1) for _ in range(n)))
+            if g.edge_count <= DEFAULT_CAP or not is_connected(g):
+                continue
+            den, rows = scaled_schur(g)
+            exact = sympy.Matrix(rows).det()
+            minors = leading_minors([row[:] for row in rows])
+            assert len(minors) == m
+            assert minors[-1] == bareiss_det([row[:] for row in rows]) == exact
+            assert minors == [sympy.Matrix(rows).extract(range(k), range(k)).det()
+                              for k in range(1, m + 1)]
+            checked += 1
 
 
 class TestRationalMatrix:

@@ -15,8 +15,9 @@ from ferrers.graphs import (
     enumerate_connected,
     ferrers_from_partition,
 )
-from ferrers.linalg import RationalMatrix, matrix_M, projection_Q, scaled_schur
+from ferrers.linalg import RationalMatrix, bareiss_det, matrix_M, projection_Q, scaled_schur
 from ferrers.spectral import (
+    certify_majorization,
     eigen_sym,
     kyfan_check,
     majorization_report,
@@ -316,6 +317,77 @@ class TestMajorization:
                     prefix = sum(1 << i for i in order[:k])
                     expected = sum((overlap_defect(prefix, t) for t in g.nbrs), Fraction(0))
                     assert rep.defect_sums[k - 1] == expected
+
+
+class TestCertifyMajorization:
+    def test_hexagon_minors(self):
+        # D*M = [[12, 3, 3], [3, 12, 3], [3, 3, 12]] with D = 6; det M = 27/4.
+        assert certify_majorization(HEX) == [12, 135, 1458]
+        assert Fraction(1458, 6**3) == matrix_M(HEX).det_exact()
+
+    def test_every_small_graph_certified(self):
+        for m, n in ((1, 3), (2, 2), (3, 2), (3, 3), (2, 4), (4, 2)):
+            for g in enumerate_connected(m, n):
+                den, rows = scaled_schur(g)
+                minors = certify_majorization(g)
+                assert len(minors) == m and all(p > 0 for p in minors)
+                assert minors[-1] == bareiss_det(rows)
+
+    def test_precomputed_rows_accepted_and_left_unchanged(self):
+        den, rows = scaled_schur(HEX)
+        before = [row[:] for row in rows]
+        assert certify_majorization(HEX, scaled=(den, rows)) == certify_majorization(HEX)
+        assert rows == before
+
+    def test_disconnected_rejected(self):
+        with pytest.raises(DisconnectedGraph):
+            certify_majorization(BipartiteGraph(2, 2, (0b01, 0b10)))
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_perturbed_off_diagonal_pair_caught(self, delta):
+        den, rows = scaled_schur(HEX)
+        rows[0][1] += delta
+        rows[1][0] += delta
+        with pytest.raises(IdentityViolation, match="at k=1"):
+            certify_majorization(HEX, scaled=(den, rows))
+
+    def test_sunk_diagonal_entry_caught(self):
+        den, rows = scaled_schur(HEX)
+        rows[2][2] -= 10**6
+        with pytest.raises(IdentityViolation, match="tr"):
+            certify_majorization(HEX, scaled=(den, rows))
+
+    def test_trace_checked_on_its_own(self):
+        # +2 on the last vertex's diagonal, -1 on its pair with vertex 0: the
+        # sum of R and every prefix identity stay as they were, the trace does not.
+        den, rows = scaled_schur(HEX)
+        rows[2][2] += 2
+        rows[0][2] -= 1
+        rows[2][0] -= 1
+        with pytest.raises(IdentityViolation, match=r"tr\(D\*M\)"):
+            certify_majorization(HEX, scaled=(den, rows))
+
+    def test_asymmetric_rows_caught(self):
+        den, rows = scaled_schur(HEX)
+        rows[0][1] += 1
+        rows[0][2] -= 1
+        with pytest.raises(IdentityViolation, match="not symmetric"):
+            certify_majorization(HEX, scaled=(den, rows))
+
+    def test_zero_leading_minor_caught_without_row_swap(self):
+        # The hexagon's D*M plus a symmetric perturbation that keeps the trace
+        # and every prefix identity, so only Sylvester's criterion can object.
+        # The leading 1x1 minor is 0 while the determinant is positive: a
+        # swapped elimination would see det > 0 and miss the indefinite matrix.
+        rows = [[0, -5, -5], [-5, 8, 19], [-5, 19, 28]]
+        assert bareiss_det([row[:] for row in rows]) == 50
+        with pytest.raises(IdentityViolation, match=r"leading minors \[0\]"):
+            certify_majorization(HEX, scaled=(6, rows))
+
+    def test_wrong_matrix_caught(self):
+        identity = [[1 if i == k else 0 for k in range(3)] for i in range(3)]
+        with pytest.raises(IdentityViolation):
+            certify_majorization(HEX, scaled=(1, identity))
 
 
 class TestReportDict:

@@ -1,14 +1,16 @@
 """Campaign driver: single-graph records, exhaustive sweeps, failure categories."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ferrers import trees
 from ferrers.cli import main
-from ferrers.errors import CapExceeded, DisconnectedGraph, TheoremViolation
+from ferrers.errors import CapExceeded, DisconnectedGraph, NonConvergence, TheoremViolation
 from ferrers.graphs import (
     BipartiteGraph,
     PartitionSpec,
@@ -18,6 +20,7 @@ from ferrers.graphs import (
     write_graph,
 )
 from ferrers.linalg import RationalMatrix
+from ferrers.spectral import majorization_report
 from ferrers.verify import (
     corollary_check,
     equality_flag_diagonalization,
@@ -81,6 +84,31 @@ class TestVerifyGraph:
         monkeypatch.setattr(RationalMatrix, "__init__", refuse)
         rec = verify_graph(HEX)
         assert rec.reduction_ok and rec.majorizes
+
+    def test_no_eigenvalue_computed(self, monkeypatch):
+        # majorizes is certified exactly, so the Jacobi eigensolver stays off this path.
+        def refuse(mat):
+            raise AssertionError("verify_graph called eigen_sym")
+
+        monkeypatch.setattr("ferrers.spectral.eigen_sym", refuse)
+        rng = random.Random(6)
+        graphs = [BipartiteGraph(6, 7, (0b111111,) * 7)]
+        while len(graphs) < 5:
+            m, n = rng.randint(6, 8), rng.randint(6, 8)
+            g = BipartiteGraph(m, n, tuple(rng.randint(1, (1 << m) - 1) for _ in range(n)))
+            if is_connected(g):
+                graphs.append(g)
+        for g in graphs:
+            rec = verify_graph(g)
+            assert rec.majorizes and rec.reduction_ok
+        with pytest.raises(AssertionError, match="eigen_sym"):
+            majorization_report(graphs[0])
+
+    def test_tau_passed_in_is_used(self):
+        assert verify_graph(HEX, tau=6) == verify_graph(HEX)
+        rec = verify_graph(HEX, tau=8)
+        assert rec.tau == 8
+        assert not rec.inequality_ok and not rec.reduction_ok and rec.majorizes
 
     def test_equality_cases(self):
         for g in (K22, K23, STAIR, BipartiteGraph(1, 1, (1,))):
@@ -178,7 +206,7 @@ class TestCampaigns:
 
     @pytest.mark.parametrize(
         "category",
-        ["inequality", "equality", "reduction", "majorization", "deletion", "oracle"],
+        ["inequality", "equality", "reduction", "majorization", "deletion", "oracle", "spectrum"],
     )
     def test_each_failure_category_fires(self, corrupt, category):
         corrupt(category)
@@ -198,6 +226,30 @@ class TestCampaigns:
         assert is_connected(parse_graph(text))
         with pytest.raises(TheoremViolation, match=category):
             verify_pairs([(2, 2)], oracle_edge_cap=14)
+
+    def test_oracled_graphs_compute_tau_once(self, monkeypatch):
+        calls = []
+
+        def counting(g, *, check_all_deletions=False):
+            calls.append(check_all_deletions)
+            return trees.tau_matrix_tree(g, check_all_deletions=check_all_deletions)
+
+        monkeypatch.setattr("ferrers.verify.tau_matrix_tree", counting)
+        s = verify_pairs([(2, 3)], oracle_edge_cap=14, fail_fast=False)
+        assert s.oracle_checked == s.graphs_checked > 0
+        assert calls == [True] * s.graphs_checked
+        calls.clear()
+        verify_pairs([(2, 3)], fail_fast=False)
+        assert calls == [False] * s.graphs_checked
+
+    def test_spectrum_non_convergence_propagates(self, monkeypatch):
+        def stuck(g, *, scaled=None):
+            raise NonConvergence("no convergence after 100 Jacobi sweeps")
+
+        monkeypatch.setattr("ferrers.verify.majorization_report", stuck)
+        assert verify_pairs([(2, 2)], fail_fast=False).violations == 0
+        with pytest.raises(NonConvergence):
+            verify_pairs([(2, 2)], oracle_edge_cap=14, fail_fast=False)
 
     def test_failed_M_build_counts_against_the_reduction(self, corrupt, tmp_path, capsys):
         corrupt("reduction")
