@@ -39,7 +39,6 @@ from .graphs import (
     write_graph,
 )
 from .linalg import (
-    Rational,
     RationalMatrix,
     bareiss_det,
     laplacian,
@@ -64,7 +63,6 @@ from .spectral import (
 )
 from .trees import (
     SpanningTree,
-    bozkurt_bound,
     check_reduction,
     ferrers_invariant,
     tau_brute_force,
@@ -98,7 +96,6 @@ __all__ = [
     "IsolatedVertex",
     "NonConvergence",
     "PartitionSpec",
-    "Rational",
     "RationalMatrix",
     "SpanningTree",
     "SpectralReport",
@@ -107,7 +104,6 @@ __all__ = [
     "VerificationRecord",
     "bareiss_det",
     "bit_indices",
-    "bozkurt_bound",
     "canonical_form",
     "certify_majorization",
     "check_reduction",

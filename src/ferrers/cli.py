@@ -3,10 +3,11 @@
 Graphs are read from a file argument or stdin in the neighborhood-list text
 format; a "biadj" first line or the --biadj flag switches to 0/1 matrix rows.
 Every verb honors --format json|csv|plain.  check and verify decide every
-verdict exactly; only spectrum (alias majorize) compares floats, at the
-fixed spectral.FLOAT_TOL, so no verb takes a tolerance.  Exit codes: 0 on
-success, 1 when a theorem check fails (a counterexample to the bound or a
-failed cross-check), 2 on bad input.
+verdict exactly; only spectrum compares floats, at the fixed
+spectral.FLOAT_TOL, so no verb takes a tolerance.  overlap refuses m above
+the default cap, since its exact check multiplies two m x m Fraction
+matrices.  Exit codes: 0 on success, 1 when a theorem check fails (a
+counterexample to the bound or a failed cross-check), 2 on bad input.
 """
 
 from __future__ import annotations
@@ -212,9 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     ).set_defaults(handler=_cmd_check)
     sub.add_parser(
         "spectrum", parents=[fmt, graph_in], help="eigenvalues and majorization report of M"
-    ).set_defaults(handler=_cmd_spectral)
-    sub.add_parser(
-        "majorize", parents=[fmt, graph_in], help="majorization report of M"
     ).set_defaults(handler=_cmd_spectral)
 
     overlap = sub.add_parser(

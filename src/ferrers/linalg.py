@@ -3,7 +3,8 @@
 Determinants clear denominators row by row and then run fraction-free Bareiss
 elimination on integers, so no floating point enters any certified value.
 The Laplacian, its Schur complement L_X and the matrix M are each built once,
-as integer rows (over a common denominator for L_X and M).  The Fraction
+as integer rows (over a common denominator for L_X and M); the reduction
+identity and the majorization certificate check those rows.  The Fraction
 projection matrices are the readable reference for the projection algebra;
 they are cached because they are immutable.
 """
@@ -15,16 +16,13 @@ from functools import lru_cache
 from math import lcm
 from typing import Sequence
 
-from .errors import DimensionError, DisconnectedGraph, IdentityViolation, IsolatedVertex
-from .graphs import BipartiteGraph, bit_indices, degrees, is_connected, write_graph
-
-# Exactness carrier.  Fraction already keeps gcd(p, q) = 1 and q > 0.
-Rational = Fraction
+from .errors import DimensionError, DisconnectedGraph, IsolatedVertex
+from .graphs import BipartiteGraph, bit_indices, degrees, is_connected
 
 _ZERO = Fraction(0)
 
 
-def rat_str(x: Rational | int) -> str:
+def rat_str(x: Fraction | int) -> str:
     """Serialized form p/q with q > 0 and gcd(p, q) = 1, also for whole numbers."""
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
@@ -93,7 +91,7 @@ class RationalMatrix:
 
     __slots__ = ("dim", "rows")
 
-    def __init__(self, rows: Sequence[Sequence[Rational | int]]):
+    def __init__(self, rows: Sequence[Sequence[Fraction | int]]):
         frozen = tuple(tuple(Fraction(x) for x in row) for row in rows)
         if len(frozen) == 0:
             raise DimensionError("a matrix needs at least one row")
@@ -103,21 +101,13 @@ class RationalMatrix:
         self.dim = len(frozen)
 
     @classmethod
-    def zeros(cls, dim: int) -> "RationalMatrix":
-        return cls.constant(dim, 0)
-
-    @classmethod
-    def identity(cls, dim: int) -> "RationalMatrix":
-        return cls([[1 if i == k else 0 for k in range(dim)] for i in range(dim)])
-
-    @classmethod
-    def constant(cls, dim: int, value: Rational | int) -> "RationalMatrix":
+    def constant(cls, dim: int, value: Fraction | int) -> "RationalMatrix":
         if dim < 1:
             raise DimensionError("a matrix needs at least one row")
         v = Fraction(value)
         return cls([[v] * dim for _ in range(dim)])
 
-    def __getitem__(self, key: tuple[int, int]) -> Rational:
+    def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, k = key
         return self.rows[i][k]
 
@@ -158,37 +148,20 @@ class RationalMatrix:
             return self.scale(other)
         return NotImplemented
 
-    def scale(self, factor: Rational | int) -> "RationalMatrix":
+    def scale(self, factor: Fraction | int) -> "RationalMatrix":
         f = Fraction(factor)
         return RationalMatrix([[f * x for x in row] for row in self.rows])
 
-    def trace(self) -> Rational:
+    def trace(self) -> Fraction:
         return sum((self.rows[i][i] for i in range(self.dim)), _ZERO)
 
-    def mul_vec(self, vec: Sequence[Rational | int]) -> tuple[Rational, ...]:
+    def mul_vec(self, vec: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
         if len(vec) != self.dim:
             raise DimensionError(f"vector length {len(vec)} does not match dim {self.dim}")
         v = [Fraction(x) for x in vec]
         return tuple(sum((a * b for a, b in zip(row, v)), _ZERO) for row in self.rows)
 
-    def delete_row_col(self, i: int) -> "RationalMatrix":
-        """Principal submatrix with row i and column i removed."""
-        if self.dim < 2:
-            raise DimensionError("cannot delete from a 1x1 matrix")
-        if not 0 <= i < self.dim:
-            raise IndexError(f"index {i} out of range 0..{self.dim - 1}")
-        return self._minor(i, i)
-
-    def _minor(self, r: int, c: int) -> "RationalMatrix":
-        return RationalMatrix(
-            [
-                [x for k, x in enumerate(row) if k != c]
-                for j, row in enumerate(self.rows)
-                if j != r
-            ]
-        )
-
-    def det_exact(self) -> Rational:
+    def det_exact(self) -> Fraction:
         """Exact determinant: clear each row's denominators, then integer Bareiss."""
         scale = 1
         int_rows = []
@@ -197,21 +170,6 @@ class RationalMatrix:
             scale *= mult
             int_rows.append([int(x * mult) for x in row])
         return Fraction(bareiss_det(int_rows), scale)
-
-    def adjugate(self) -> "RationalMatrix":
-        """Transposed cofactor matrix, from minors.  A test aid, not a hot path.
-
-        Satisfies M * adj(M) = det(M) * I, also when M is singular.
-        """
-        if self.dim < 2:
-            raise DimensionError("adjugate needs dim >= 2")
-        d = self.dim
-        return RationalMatrix(
-            [
-                [(-1) ** (i + j) * self._minor(j, i).det_exact() for j in range(d)]
-                for i in range(d)
-            ]
-        )
 
     def to_floats(self) -> list[list[float]]:
         return [[float(x) for x in row] for row in self.rows]
@@ -243,7 +201,7 @@ def projection_P(T: int, m: int) -> RationalMatrix:
 
     Entry (i, k) is delta_ik - 1/|T| when both indices lie in T and zero
     otherwise; equivalently the Laplacian of the complete graph on T divided
-    by |T|, padded with zeros.
+    by |T|, padded with zero rows and columns.
     """
     if T == 0:
         raise ValueError("the subset must be nonempty")
@@ -271,12 +229,9 @@ def scaled_schur(g: BipartiteGraph) -> tuple[int, list[list[int]]]:
 
     L_X = A - B C^(-1) B^T is the Schur complement of the Laplacian onto the X
     block and M = L_X + (n/m) J.  D = lcm(m, y-degrees), so every entry of
-    D * M, and of D * L_X = D * M - (D * n / m) J, is an integer.  The block
-    formula and the sum of the neighborhood projections P_(T_j) share every
-    term but the diagonal D * a_i: the block formula takes a_i from the
-    degrees, the projection sum counts the neighborhoods holding x_i.  The
-    two counts are compared, and a mismatch raises IdentityViolation naming
-    the graph.
+    D * M, and of D * L_X = D * M - (D * n / m) J, is an integer.  Entry
+    (i, k) of D * M is D * n / m, plus D * a_i on the diagonal, minus D / b_j
+    for each y_j adjacent to both x_i and x_k.
     """
     dd = degrees(g)
     if 0 in dd.b:
@@ -284,20 +239,13 @@ def scaled_schur(g: BipartiteGraph) -> tuple[int, list[list[int]]]:
     m = g.m
     den = lcm(m, *dd.b)
     rows = [[den * g.n // m] * m for _ in range(m)]
-    member = [0] * m
     for t, bj in zip(g.nbrs, dd.b):
         w = den // bj
         members = list(bit_indices(t))
         for i in members:
-            member[i] += 1
             row = rows[i]
             for k in members:
                 row[k] -= w
-    if list(dd.a) != member:
-        raise IdentityViolation(
-            f"block formula degrees {list(dd.a)} disagree with the projection sum "
-            f"counts {member} for:\n{write_graph(g)}"
-        )
     for i, a in enumerate(dd.a):
         rows[i][i] += den * a
     return den, rows
@@ -318,8 +266,9 @@ def schur_LX(g: BipartiteGraph) -> RationalMatrix:
 def matrix_M(g: BipartiteGraph) -> RationalMatrix:
     """Shifted Schur complement L_X + (n/m) J, the positive definite reduction target.
 
-    Equal to the sum of the rank-|T_j| projections Q over the neighborhoods.
-    The readable Fraction view of the rows of scaled_schur(g); verify_graph,
+    Equal to the sum of the rank-|T_j| projections Q over the neighborhoods,
+    which the tests resum from projection_Q as an independent route.  The
+    readable Fraction view of the rows of scaled_schur(g); verify_graph,
     check_reduction, certify_majorization and majorization_report read those
     integer rows directly.
     """

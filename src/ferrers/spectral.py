@@ -21,8 +21,8 @@ from fractions import Fraction
 from math import lcm, sqrt
 from typing import Sequence
 
-from .errors import DisconnectedGraph, IdentityViolation, NonConvergence
-from .graphs import BipartiteGraph, degrees, is_connected, write_graph
+from .errors import CapExceeded, DisconnectedGraph, IdentityViolation, NonConvergence
+from .graphs import DEFAULT_CAP, BipartiteGraph, degrees, is_connected, write_graph
 from .linalg import RationalMatrix, leading_minors, projection_Q, rat_str, scaled_schur
 
 FLOAT_TOL = 1e-9
@@ -129,7 +129,9 @@ def overlap_trace(I: int, T: int, m: int, *, verify: bool = False) -> Fraction:
     """Closed form tr(Q_I Q_T) = |I intersect T| + the overlap defect.
 
     With verify=True the trace is recomputed from the exact matrix product of
-    the two projections and must match the closed form.
+    the two projections and must match the closed form.  That product costs
+    m^3 Fraction operations and the projections stay cached, so it refuses
+    m above DEFAULT_CAP.
     """
     if I == 0 or T == 0:
         raise ValueError("both subsets must be nonempty")
@@ -137,6 +139,8 @@ def overlap_trace(I: int, T: int, m: int, *, verify: bool = False) -> Fraction:
         raise ValueError(f"subsets use indices outside 0..{m - 1}")
     value = (I & T).bit_count() + overlap_defect(I, T)
     if verify:
+        if m > DEFAULT_CAP:
+            raise CapExceeded(f"m = {m} exceeds the exact-product cap {DEFAULT_CAP}")
         exact = (projection_Q(I, m) * projection_Q(T, m)).trace()
         if exact != value:
             raise IdentityViolation(

@@ -125,19 +125,3 @@ def check_reduction(
             f"tau*m*n = {Fraction(left, scale)} but (prod b)*det M = {Fraction(right, scale)}"
         )
     return True
-
-
-def bozkurt_bound(g: BipartiteGraph) -> tuple[Fraction, bool]:
-    """Edge-count bound prod(deg)/|E| and whether the tree count sits below it.
-
-    The bound is never smaller than the degree product over m*n because
-    |E| <= m*n; that comparison is re-checked here since it costs nothing.
-    """
-    e = g.edge_count
-    if e == 0:
-        raise IsolatedVertex("a graph with no edges has no degree product bound")
-    dd = degrees(g)
-    bound = Fraction(prod(dd.a) * prod(dd.b), e)
-    if 0 not in dd.a and bound < ferrers_invariant(g):
-        raise IdentityViolation(f"edge-count bound {bound} fell below the degree-product bound")
-    return bound, tau_matrix_tree(g) <= bound

@@ -91,20 +91,16 @@ def verify_graph(
     on the integer rows of D*M built once by scaled_schur, and land in their
     boolean fields; no eigenvalue is computed.  The certificate's no-swap
     elimination gives det(D*M) to the reduction, which takes the determinant
-    with row swaps itself when the certificate fails.  A failed cross-check
-    while building D*M counts against the reduction, and the certificate
-    then builds the rows itself.  tau and scaled, the (D, rows) pair of
-    scaled_schur(g), may be passed in when already computed.
+    with row swaps itself when the certificate fails.  tau and scaled, the
+    (D, rows) pair of scaled_schur(g), may be passed in when already
+    computed.
     """
     if not is_connected(g):
         raise DisconnectedGraph("verification needs a connected graph")
     if tau is None:
         tau = tau_matrix_tree(g)
     if scaled is None:
-        try:
-            scaled = scaled_schur(g)
-        except IdentityViolation:
-            pass
+        scaled = scaled_schur(g)
     try:
         det = certify_majorization(g, scaled=scaled)[-1]
         majorizes = True
@@ -112,9 +108,7 @@ def verify_graph(
         det = None
         majorizes = False
     try:
-        reduction_ok = scaled is not None and check_reduction(
-            g, tau=tau, scaled=scaled, det=det
-        )
+        reduction_ok = check_reduction(g, tau=tau, scaled=scaled, det=det)
     except IdentityViolation:
         reduction_ok = False
     F = ferrers_invariant(g)
@@ -176,8 +170,8 @@ def _examine(
 
     Oracled graphs take tau from the all-deletions check, so it is computed
     once, and the rows of D*M are built once for the record and the Jacobi
-    report; when either fails here, verify_graph tries again itself.  The
-    report is the float cross-check of the exact majorization certificate;
+    report; when the deletion check fails, verify_graph takes tau itself.
+    The report is the float cross-check of the exact majorization certificate;
     an IdentityViolation there counts as "spectrum".
     """
     if oracle_edge_cap is None or g.edge_count > oracle_edge_cap:
@@ -187,10 +181,7 @@ def _examine(
         tau = tau_matrix_tree(g, check_all_deletions=True)
     except IdentityViolation:
         tau = None
-    try:
-        scaled = scaled_schur(g)
-    except IdentityViolation:
-        scaled = None
+    scaled = scaled_schur(g)
     rec = verify_graph(g, tau=tau, scaled=scaled)
     bad = rec.failures
     if tau is None:

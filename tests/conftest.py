@@ -21,8 +21,8 @@ def _never_ferrers(g):
     return False
 
 
-def _failed_M_build(g):
-    raise IdentityViolation("corrupted D*M rows")
+def _failed_reduction(g, *, tau=None, scaled=None, det=None):
+    raise IdentityViolation("corrupted reduction identity")
 
 
 def _failed_certificate(g, *, scaled=None):
@@ -47,7 +47,7 @@ def _brute_force_plus_one(g, *, cap=DEFAULT_CAP):
 CORRUPTIONS = {
     "inequality": ("tau_matrix_tree", _tau_plus_one),
     "equality": ("is_ferrers", _never_ferrers),
-    "reduction": ("scaled_schur", _failed_M_build),
+    "reduction": ("check_reduction", _failed_reduction),
     "majorization": ("certify_majorization", _failed_certificate),
     "deletion": ("tau_matrix_tree", _deletion_disagrees),
     "oracle": ("tau_brute_force", _brute_force_plus_one),

@@ -27,7 +27,7 @@ from ferrers.graphs import (
     is_connected,
     is_ferrers,
 )
-from ferrers.linalg import RationalMatrix, matrix_M, projection_P, projection_Q
+from ferrers.linalg import matrix_M, projection_P, projection_Q
 from ferrers.spectral import (
     FLOAT_TOL,
     kyfan_check,
@@ -37,6 +37,7 @@ from ferrers.spectral import (
 )
 from ferrers.trees import ferrers_invariant, tau_matrix_tree
 from ferrers.verify import corollary_check, equality_flag_diagonalization, verify_pairs
+from matrix_helpers import zeros
 
 BASE_SEED = 20260817
 SWEEP_PAIRS = tuple(
@@ -139,12 +140,12 @@ def test_criterion_5_projection_algebra(sweep):
             check(t, m)
     for m in range(9, 17):
         check((1 << m) - 1, m)
-    # matrix_M checks the block formula against the projection sum on every
-    # sweep graph; resum the Fraction Q projections on two full families.
+    # matrix_M reads the block formula; resum the Fraction Q projections, an
+    # independent route to M, on two full families.
     resummed = 0
     for m, n in ((3, 3), (2, 4)):
         for g in enumerate_connected(m, n):
-            total = RationalMatrix.zeros(m)
+            total = zeros(m)
             for t in g.nbrs:
                 total = total + projection_Q(t, m)
             assert total == matrix_M(g)

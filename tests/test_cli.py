@@ -111,11 +111,9 @@ class TestSpectralVerbs:
         assert rep["defect_sums"] == ["1/1", "1/2"]
         assert rep["majorizes"] is True
 
-    def test_majorize_is_an_alias(self, hexfile, capsys):
-        main(["spectrum", hexfile])
-        first = capsys.readouterr().out
-        main(["majorize", hexfile])
-        assert capsys.readouterr().out == first
+    def test_majorize_is_rejected(self, hexfile, capsys):
+        assert main(["majorize", hexfile]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestOverlap:
@@ -133,6 +131,18 @@ class TestOverlap:
 
     def test_empty_field_is_input_error(self):
         assert main(["overlap", "0,", "1", "3"]) == 2
+
+    def test_ground_set_at_the_cap_is_checked(self, capsys):
+        assert main(["overlap", "0", "0", "20"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"trace": "1/1", "defect": "0/1"}
+
+    def test_ground_set_above_the_cap_is_refused_before_any_product(self, monkeypatch, capsys):
+        def refuse(T, m):
+            raise AssertionError("built a projection for a refused ground set")
+
+        monkeypatch.setattr("ferrers.spectral.projection_Q", refuse)
+        assert main(["overlap", "0", "0", "21"]) == 2
+        assert "exceeds the exact-product cap 20" in capsys.readouterr().err
 
 
 class TestStaircaseVerbs:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ferrers.errors import DisconnectedGraph, IdentityViolation, NonConvergence
+from ferrers.errors import CapExceeded, DisconnectedGraph, IdentityViolation, NonConvergence
 from ferrers.graphs import (
     BipartiteGraph,
     PartitionSpec,
@@ -15,7 +15,7 @@ from ferrers.graphs import (
     enumerate_connected,
     ferrers_from_partition,
 )
-from ferrers.linalg import RationalMatrix, bareiss_det, matrix_M, projection_Q, scaled_schur
+from ferrers.linalg import bareiss_det, matrix_M, projection_Q, scaled_schur
 from ferrers.spectral import (
     certify_majorization,
     eigen_sym,
@@ -25,6 +25,7 @@ from ferrers.spectral import (
     overlap_trace,
     report_dict,
 )
+from matrix_helpers import identity
 
 HEX = BipartiteGraph(3, 3, (0b011, 0b110, 0b101))
 K22 = BipartiteGraph(2, 2, (0b11, 0b11))
@@ -63,7 +64,7 @@ class TestEigenSym:
         assert eigen_sym([[5.0]]).values == (5.0,)
 
     def test_identity(self):
-        assert eigen_sym(RationalMatrix.identity(4)).values == (1.0,) * 4
+        assert eigen_sym(identity(4)).values == (1.0,) * 4
 
     def test_two_by_two_by_hand(self):
         s = eigen_sym([[2.0, 1.0], [1.0, 2.0]])
@@ -171,6 +172,11 @@ class TestOverlap:
             for t in range(1, 1 << m):
                 value = overlap_trace(i, t, m, verify=True)
                 assert value == (projection_Q(i, m) * projection_Q(t, m)).trace()
+
+    def test_exact_check_capped_on_the_ground_set(self):
+        assert overlap_trace(1, 1, 21) == 1
+        with pytest.raises(CapExceeded):
+            overlap_trace(1, 1, 21, verify=True)
 
     def test_zero_defect_means_nested(self):
         m = 4

@@ -17,7 +17,6 @@ from ferrers.graphs import (
 )
 from ferrers.linalg import matrix_M, scaled_schur
 from ferrers.trees import (
-    bozkurt_bound,
     check_reduction,
     ferrers_invariant,
     tau_brute_force,
@@ -194,30 +193,3 @@ class TestReduction:
             for g in enumerate_connected(m, n):
                 check_reduction(g)
 
-
-class TestBozkurtBound:
-    def test_complete_graph_attains(self):
-        bound, ok = bozkurt_bound(K22)
-        assert ok and bound == 4 == tau_matrix_tree(K22)
-
-    def test_hexagon(self):
-        bound, ok = bozkurt_bound(HEX)
-        assert ok and bound == Fraction(32, 3)
-        assert bound >= ferrers_invariant(HEX)
-
-    def test_no_edges_rejected(self):
-        with pytest.raises(IsolatedVertex):
-            bozkurt_bound(BipartiteGraph(1, 2, (1, 0)))
-
-    @given(st.data())
-    @settings(max_examples=60)
-    def test_weaker_than_degree_product_form(self, data):
-        m = data.draw(st.integers(1, 4))
-        n = data.draw(st.integers(1, 4))
-        nbrs = tuple(data.draw(st.integers(1, (1 << m) - 1)) for _ in range(n))
-        g = BipartiteGraph(m, n, nbrs)
-        if not is_connected(g):
-            return
-        bound, ok = bozkurt_bound(g)
-        assert ok
-        assert bound >= ferrers_invariant(g)

@@ -251,7 +251,7 @@ class TestCampaigns:
         with pytest.raises(NonConvergence):
             verify_pairs([(2, 2)], oracle_edge_cap=14, fail_fast=False)
 
-    def test_failed_M_build_counts_against_the_reduction(self, corrupt, tmp_path, capsys):
+    def test_failed_reduction_check_counts_in_campaigns_and_check(self, corrupt, tmp_path, capsys):
         corrupt("reduction")
         s = verify_pairs([(3, 3)], fail_fast=False)
         assert s.graphs_checked > 0
