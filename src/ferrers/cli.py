@@ -18,7 +18,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import FerrersError, IdentityViolation, TheoremViolation
+from .errors import CapExceeded, FerrersError, IdentityViolation, TheoremViolation
 from .graphs import (
     DEFAULT_CAP,
     PartitionSpec,
@@ -91,13 +91,17 @@ def _load_graph(args):
     return parse_graph(_read_text(args.path), biadj=args.biadj)
 
 
-def _parse_subset(spec: str) -> int:
+def _parse_subset(spec: str, m: int) -> int:
+    # Each index is range-checked before 1 << index can allocate a huge integer.
     subset = 0
     for field in spec.split(","):
         field = field.strip()
         if not field:
             raise ValueError(f"empty index in subset {spec!r}")
-        subset |= 1 << int(field)
+        index = int(field)
+        if not 0 <= index < m:
+            raise ValueError(f"index {index} in subset {spec!r} is outside 0..{m - 1}")
+        subset |= 1 << index
     return subset
 
 
@@ -124,8 +128,10 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_overlap(args) -> int:
-    I = _parse_subset(args.I)
-    T = _parse_subset(args.T)
+    if args.m > DEFAULT_CAP:  # refused before the indices, which may go up to m - 1
+        raise CapExceeded(f"m = {args.m} exceeds the exact-product cap {DEFAULT_CAP}")
+    I = _parse_subset(args.I, args.m)
+    T = _parse_subset(args.T, args.m)
     trace = overlap_trace(I, T, args.m, verify=True)
     emit({"trace": trace, "defect": overlap_defect(I, T)}, args.format)
     return 0

@@ -126,20 +126,22 @@ def verify_graph(
 
 @dataclass
 class CampaignSummary:
-    """Aggregate of one exhaustive campaign.
+    """Tally of one exhaustive campaign, or of one chunk of its masks.
 
-    failure_counts and failure_examples hold the failed checks by category;
-    they stay empty on the fail-fast path, where the campaign aborts instead.
-    violations is their total.  oracle_checked counts graphs that also went
-    through the brute-force, deletion-independence and Jacobi spectrum
-    cross-checks.
+    dims is the campaign's rectangle (the largest m and n), or the chunk's
+    pair.  failure_counts and failure_examples hold the failed checks by
+    category; they stay empty on the fail-fast path, where the campaign
+    aborts instead.  violations is their total.  oracle_checked counts
+    graphs that also went through the brute-force, deletion-independence
+    and Jacobi spectrum cross-checks.  A chunk leaves wall_time at 0; the
+    campaign sets its own.
     """
 
     dims: tuple[int, int]
-    graphs_checked: int
-    equality_cases: int
-    ferrers_count: int
-    wall_time: float
+    graphs_checked: int = 0
+    equality_cases: int = 0
+    ferrers_count: int = 0
+    wall_time: float = 0.0
     oracle_checked: int = 0
     failure_counts: dict[str, int] = field(default_factory=dict)
     failure_examples: dict[str, str] = field(default_factory=dict)
@@ -147,6 +149,16 @@ class CampaignSummary:
     @property
     def violations(self) -> int:
         return sum(self.failure_counts.values())
+
+    def absorb(self, other: CampaignSummary) -> None:
+        """Add other's counts to this tally; each category keeps its first example."""
+        self.graphs_checked += other.graphs_checked
+        self.equality_cases += other.equality_cases
+        self.ferrers_count += other.ferrers_count
+        self.oracle_checked += other.oracle_checked
+        for category, count in other.failure_counts.items():
+            self.failure_counts[category] = self.failure_counts.get(category, 0) + count
+            self.failure_examples.setdefault(category, other.failure_examples[category])
 
 
 def summary_dict(s: CampaignSummary) -> dict:
@@ -196,21 +208,19 @@ def _examine(
     return rec, bad, True
 
 
-def _run_chunk(task) -> dict:
+def _run_chunk(task) -> tuple[CampaignSummary, list[dict] | None]:
     (m, n, lo, hi, oracle_edge_cap, fail_fast, collect) = task
-    checked = equality = ferrers = oracled = 0
-    failures: dict[str, int] = {}
-    examples: dict[str, str] = {}
+    tally = CampaignSummary((m, n))
     records: list[dict] | None = [] if collect else None
     for mask in range(lo, hi):
         if not _mask_connected(m, n, mask):
             continue
         g = graph_from_mask(m, n, mask)
         rec, bad, used_oracle = _examine(g, oracle_edge_cap)
-        checked += 1
-        equality += rec.equality
-        ferrers += rec.ferrers
-        oracled += used_oracle
+        tally.graphs_checked += 1
+        tally.equality_cases += rec.equality
+        tally.ferrers_count += rec.ferrers
+        tally.oracle_checked += used_oracle
         if bad:
             dump = (
                 f"{', '.join(bad)} failed for tau={rec.tau}, F={rat_str(rec.F)}:\n"
@@ -219,19 +229,11 @@ def _run_chunk(task) -> dict:
             if fail_fast:
                 raise TheoremViolation(dump)
             for category in bad:
-                failures[category] = failures.get(category, 0) + 1
-                examples.setdefault(category, dump)
+                tally.failure_counts[category] = tally.failure_counts.get(category, 0) + 1
+                tally.failure_examples.setdefault(category, dump)
         if records is not None:
             records.append(record_dict(rec))
-    return {
-        "checked": checked,
-        "equality": equality,
-        "ferrers": ferrers,
-        "oracled": oracled,
-        "failures": failures,
-        "examples": examples,
-        "records": records,
-    }
+    return tally, records
 
 
 _CHUNK_MASKS = 1 << 13
@@ -268,7 +270,9 @@ def verify_pairs(
     otherwise violations are tallied per category.  oracle_edge_cap turns on
     the brute-force and deletion-independence cross-checks for graphs with at
     most that many edges.  emit receives one JSON-ready record per graph, and
-    workers > 1 splits the mask ranges across processes.
+    workers > 1 splits the mask ranges across processes, at most one per
+    chunk of masks.  Each chunk returns its own CampaignSummary, and the
+    campaign's summary absorbs them in mask order.
     """
     pair_list = sorted(set(pairs))
     if not pair_list:
@@ -280,44 +284,26 @@ def verify_pairs(
             raise CapExceeded(f"pair ({m}, {n}) exceeds the enumeration cap {cap}")
     start = time.perf_counter()
     tasks = _chunk_tasks(pair_list, oracle_edge_cap, fail_fast, emit is not None)
-    checked = equality = ferrers = oracled = 0
-    failure_counts: dict[str, int] = {}
-    failure_examples: dict[str, str] = {}
+    summary = CampaignSummary((max(m for m, _ in pair_list), max(n for _, n in pair_list)))
 
-    def absorb(chunk: dict) -> None:
-        nonlocal checked, equality, ferrers, oracled
-        checked += chunk["checked"]
-        equality += chunk["equality"]
-        ferrers += chunk["ferrers"]
-        oracled += chunk["oracled"]
-        for category, count in chunk["failures"].items():
-            failure_counts[category] = failure_counts.get(category, 0) + count
-            failure_examples.setdefault(category, chunk["examples"][category])
-        if emit is not None and chunk["records"] is not None:
-            for rec in chunk["records"]:
+    def absorb(chunk: tuple[CampaignSummary, list[dict] | None]) -> None:
+        tally, records = chunk
+        summary.absorb(tally)
+        if emit is not None and records is not None:
+            for rec in records:
                 emit(rec)
 
     if workers is not None and workers > 1 and len(tasks) > 1:
         from multiprocessing import Pool  # only campaigns with workers pay for the import
 
-        with Pool(processes=workers) as pool:
+        with Pool(processes=min(workers, len(tasks))) as pool:
             for chunk in pool.imap(_run_chunk, tasks):
                 absorb(chunk)
     else:
         for task in tasks:
             absorb(_run_chunk(task))
-    max_m = max(m for m, _ in pair_list)
-    max_n = max(n for _, n in pair_list)
-    return CampaignSummary(
-        dims=(max_m, max_n),
-        graphs_checked=checked,
-        equality_cases=equality,
-        ferrers_count=ferrers,
-        wall_time=time.perf_counter() - start,
-        oracle_checked=oracled,
-        failure_counts=failure_counts,
-        failure_examples=failure_examples,
-    )
+    summary.wall_time = time.perf_counter() - start
+    return summary
 
 
 def verify_range(

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import sys
+import tracemalloc
 
 import pytest
 
@@ -131,6 +132,29 @@ class TestOverlap:
 
     def test_empty_field_is_input_error(self):
         assert main(["overlap", "0,", "1", "3"]) == 2
+
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            ("3", "index 400000000 in subset '400000000' is outside 0..2"),
+            ("1000000000", "m = 1000000000 exceeds the exact-product cap 20"),
+        ],
+        ids=["beyond-m", "beyond-cap"],
+    )
+    def test_huge_index_is_refused_before_shifting(self, m, message, capsys):
+        # 1 << 400000000 alone would take 50 MB.
+        tracemalloc.start()
+        try:
+            assert main(["overlap", "0", "400000000", m]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert message in capsys.readouterr().err
+
+    def test_negative_index_names_the_range(self, capsys):
+        assert main(["overlap", "0", "-1", "3"]) == 2
+        assert "index -1 in subset '-1' is outside 0..2" in capsys.readouterr().err
 
     def test_ground_set_at_the_cap_is_checked(self, capsys):
         assert main(["overlap", "0", "0", "20"]) == 0

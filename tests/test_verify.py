@@ -15,13 +15,16 @@ from ferrers.graphs import (
     BipartiteGraph,
     PartitionSpec,
     ferrers_from_partition,
+    graph_from_mask,
     is_connected,
+    is_ferrers,
     parse_graph,
     write_graph,
 )
 from ferrers.linalg import RationalMatrix
 from ferrers.spectral import majorization_report
 from ferrers.verify import (
+    _CHUNK_MASKS,
     corollary_check,
     equality_flag_diagonalization,
     record_dict,
@@ -183,12 +186,56 @@ class TestCampaigns:
         assert twice.graphs_checked == once.graphs_checked == 5
 
     def test_workers_match_serial(self):
-        serial = verify_pairs([(2, 2), (1, 3), (3, 1)], oracle_edge_cap=4)
-        parallel = verify_pairs(
-            [(2, 2), (1, 3), (3, 1)], oracle_edge_cap=4, workers=2
-        )
-        for field in ("graphs_checked", "violations", "equality_cases", "ferrers_count", "oracle_checked"):
-            assert getattr(parallel, field) == getattr(serial, field)
+        # (2,7) spans two chunks of masks, so the pool merges more than one per pair.
+        runs = []
+        for workers in (None, 2):
+            records = []
+            s = verify_pairs(
+                [(2, 7), (2, 2), (1, 3)], oracle_edge_cap=4, workers=workers, emit=records.append
+            )
+            d = summary_dict(s)
+            del d["wall_time"]
+            runs.append((d, records))
+        assert runs[0][0]["graphs_checked"] == 2059 + 5 + 1
+        assert runs[1] == runs[0]
+
+    def test_pool_has_at_most_one_process_per_chunk(self, monkeypatch, capsys):
+        started = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, tasks):
+                return map(func, tasks)
+
+        monkeypatch.setattr("multiprocessing.Pool", SerialPool)
+        assert main(["verify", "1", "2", "--workers", "100000"]) == 0
+        # (1,1) and (1,2) are one chunk of masks each.
+        assert started == [2]
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["graphs_checked"] == 2
+
+    def test_failure_tallies_add_up_across_chunks(self, corrupt):
+        # With is_ferrers always false, every staircase graph fails "equality".
+        corrupt("equality")
+        failing = [
+            mask
+            for mask in range(1 << 14)
+            if is_connected(g := graph_from_mask(2, 7, mask)) and is_ferrers(g)
+        ]
+        assert failing[0] < _CHUNK_MASKS <= failing[-1]
+        s = verify_pairs([(2, 7)], fail_fast=False)
+        assert s.graphs_checked == 2059
+        assert s.failure_counts == {"equality": len(failing)}
+        head, text = s.failure_examples["equality"].split(":\n", 1)
+        assert head.startswith("equality failed")
+        assert text == write_graph(graph_from_mask(2, 7, failing[0]))
 
     def test_oracle_cross_check_counted(self):
         s = verify_pairs([(2, 2)], oracle_edge_cap=4)
@@ -266,7 +313,7 @@ class TestCampaigns:
 
     def test_summary_dict_shape(self):
         d = summary_dict(verify_range(2, 2))
-        assert set(d) == {
+        assert list(d) == [
             "dims",
             "graphs_checked",
             "violations",
@@ -276,7 +323,7 @@ class TestCampaigns:
             "oracle_checked",
             "failure_counts",
             "failure_examples",
-        }
+        ]
         assert d["dims"] == [2, 2]
         assert d["oracle_checked"] == 0
         assert d["failure_counts"] == d["failure_examples"] == {}
