@@ -17,9 +17,10 @@ from math import lcm
 from typing import Sequence
 
 from .errors import DimensionError, DisconnectedGraph, IsolatedVertex
-from .graphs import BipartiteGraph, bit_indices, degrees, is_connected
+from .graphs import BipartiteGraph, DegreeData, bit_indices, degrees, is_connected
 
 _ZERO = Fraction(0)
+ScaledRows = tuple[int, list[list[int]], DegreeData]  # D, the rows of D * M, the degrees of g
 
 
 def rat_str(x: Fraction | int) -> str:
@@ -176,17 +177,14 @@ class RationalMatrix:
 
 
 def laplacian_rows(g: BipartiteGraph) -> list[list[int]]:
-    """Integer Laplacian on X then Y: degrees on the diagonal, -1 per edge."""
-    dd = degrees(g)
+    """Integer Laplacian on X then Y: -1 per edge, the diagonal counted in the same loop."""
     d = g.m + g.n
     rows = [[0] * d for _ in range(d)]
-    for i in range(g.m):
-        rows[i][i] = dd.a[i]
-    for j in range(g.n):
-        rows[g.m + j][g.m + j] = dd.b[j]
-        for i in bit_indices(g.nbrs[j]):
-            rows[i][g.m + j] = -1
-            rows[g.m + j][i] = -1
+    for y, t in enumerate(g.nbrs, start=g.m):
+        for i in bit_indices(t):
+            rows[i][y] = rows[y][i] = -1
+            rows[i][i] += 1
+            rows[y][y] += 1
     return rows
 
 
@@ -224,8 +222,8 @@ def projection_Q(T: int, m: int) -> RationalMatrix:
     return projection_P(T, m) + RationalMatrix.constant(m, Fraction(1, m))
 
 
-def scaled_schur(g: BipartiteGraph) -> tuple[int, list[list[int]]]:
-    """Common denominator D and the integer rows of D * M.
+def scaled_schur(g: BipartiteGraph) -> ScaledRows:
+    """Common denominator D, the integer rows of D * M, and the degrees of g.
 
     L_X = A - B C^(-1) B^T is the Schur complement of the Laplacian onto the X
     block and M = L_X + (n/m) J.  D = lcm(m, y-degrees), so every entry of
@@ -248,7 +246,7 @@ def scaled_schur(g: BipartiteGraph) -> tuple[int, list[list[int]]]:
                 row[k] -= w
     for i, a in enumerate(dd.a):
         rows[i][i] += den * a
-    return den, rows
+    return den, rows, dd
 
 
 def schur_LX(g: BipartiteGraph) -> RationalMatrix:
@@ -258,7 +256,7 @@ def schur_LX(g: BipartiteGraph) -> RationalMatrix:
     every entry, which leaves D * L_X; the per-graph checks read the integer
     rows of D * M directly.
     """
-    den, rows = scaled_schur(g)
+    den, rows, _ = scaled_schur(g)
     base = den * g.n // g.m
     return RationalMatrix([[Fraction(x - base, den) for x in row] for row in rows])
 
@@ -274,5 +272,5 @@ def matrix_M(g: BipartiteGraph) -> RationalMatrix:
     """
     if not is_connected(g):
         raise DisconnectedGraph("M is only defined for connected graphs")
-    den, rows = scaled_schur(g)
+    den, rows, _ = scaled_schur(g)
     return RationalMatrix([[Fraction(x, den) for x in row] for row in rows])

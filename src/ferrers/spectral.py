@@ -22,8 +22,9 @@ from math import lcm, sqrt
 from typing import Sequence
 
 from .errors import CapExceeded, DisconnectedGraph, IdentityViolation, NonConvergence
-from .graphs import DEFAULT_CAP, BipartiteGraph, degrees, is_connected, write_graph
-from .linalg import RationalMatrix, leading_minors, projection_Q, rat_str, scaled_schur
+from .graphs import DEFAULT_CAP, BipartiteGraph, DegreeData, is_connected, write_graph
+from .graphs import degrees  # noqa: F401  (uncalled here; perfbench/spans.py rebinds it)
+from .linalg import RationalMatrix, ScaledRows, leading_minors, projection_Q, rat_str, scaled_schur
 
 FLOAT_TOL = 1e-9
 OFF_DIAGONAL_TOL = 1e-12
@@ -237,20 +238,18 @@ def report_dict(report: SpectralReport) -> dict:
     }
 
 
-def _prefix_defects(g: BipartiteGraph) -> tuple[tuple[int, ...], list[int], int, list[int]]:
-    """X-degrees a, the degree order, L and the defect numerators of its prefixes.
+def _prefix_defects(g: BipartiteGraph, dd: DegreeData) -> tuple[list[int], int, list[int]]:
+    """The degree order, L and the defect numerators of its prefixes.
 
-    The order sorts the X-vertices by decreasing degree, ties by index;
+    The order sorts the X-vertices by decreasing degree dd.a, ties by index;
     [k] is its first k entries.  L is the lcm of the neighborhood sizes
-    |T_j|, read from g.  For k = 1..m-1,
+    |T_j| = dd.b.  For k = 1..m-1,
     numers[k-1] = sum_j |[k] minus T_j| * |T_j minus [k]| * L / |T_j|,
     so the total overlap defect of [k] is numers[k-1] / (k L).
     """
-    dd = degrees(g)
-    a = dd.a
     lcm_b = lcm(*dd.b)
     weighted = [(t, lcm_b // b) for t, b in zip(g.nbrs, dd.b)]
-    order = sorted(range(g.m), key=lambda i: (-a[i], i))
+    order = sorted(range(g.m), key=lambda i: (-dd.a[i], i))
     prefix = 0
     numers = []
     for i in order[:-1]:
@@ -258,22 +257,23 @@ def _prefix_defects(g: BipartiteGraph) -> tuple[tuple[int, ...], list[int], int,
         numers.append(
             sum((prefix & ~t).bit_count() * (t & ~prefix).bit_count() * w for t, w in weighted)
         )
-    return a, order, lcm_b, numers
+    return order, lcm_b, numers
 
 
 def certify_majorization(
     g: BipartiteGraph,
     *,
-    scaled: tuple[int, list[list[int]]] | None = None,
+    scaled: ScaledRows | None = None,
 ) -> list[int]:
     """Exact certificate that M > 0 and that its spectrum majorizes the X-degrees.
 
-    Works on R = D*M, the integer rows of scaled_schur(g) (scaled may pass
-    them in; they are not modified).  For each prefix I = [k] of the degree
-    order, k = 1..m-1, Q_I = P_I + J/m is a rank-k orthogonal projection and
-    M is the sum of the Q_(T_j), so tr(Q_I M) = sum(a_i, i in I) + the total
-    overlap defect of I.  Times D*k*m*L, with numer and L from the defect
-    sums of majorization_report, that is the integer identity
+    Works on R = D*M and the degrees a, b, all from scaled_schur(g) (scaled
+    may pass them in; the rows are not modified).  For each prefix I = [k] of
+    the degree order, k = 1..m-1, Q_I = P_I + J/m is a rank-k orthogonal
+    projection and M is the sum of the Q_(T_j), so
+    tr(Q_I M) = sum(a_i, i in I) + the total overlap defect of I.  Times
+    D*k*m*L, with numer and L from the defect sums of majorization_report,
+    that is the integer identity
 
         L*(m*k*sum(R_ii, i in I) - m*sum(R_il, (i, l) in IxI) + k*sum(R))
             == D*m*(L*k*sum(a_i, i in I) + numer),
@@ -289,12 +289,12 @@ def certify_majorization(
     """
     if not is_connected(g):
         raise DisconnectedGraph("majorization is stated for connected graphs")
-    den, rows = scaled_schur(g) if scaled is None else scaled
+    den, rows, dd = scaled_schur(g) if scaled is None else scaled
     m = g.m
-    a, order, lcm_b, numers = _prefix_defects(g)
+    order, lcm_b, numers = _prefix_defects(g, dd)
     if any(list(col) != row for row, col in zip(rows, zip(*rows))):
         raise IdentityViolation(f"D*M is not symmetric for:\n{write_graph(g)}")
-    if sum(rows[i][i] for i in range(m)) != den * sum(a):
+    if sum(rows[i][i] for i in range(m)) != den * sum(dd.a):
         raise IdentityViolation(f"tr(D*M) differs from D*sum(a) for:\n{write_graph(g)}")
     total = sum(map(sum, rows))
     diag = block = deg = 0
@@ -303,7 +303,7 @@ def certify_majorization(
         ri = rows[i]
         diag += ri[i]
         block += ri[i] + 2 * sum(ri[l] for l in order[: k - 1])
-        deg += a[i]
+        deg += dd.a[i]
         left = lcm_b * (m * k * diag - m * block + k * total)
         right = den * m * (lcm_b * k * deg + numer)
         if left != right:
@@ -323,7 +323,7 @@ def certify_majorization(
 def majorization_report(
     g: BipartiteGraph,
     *,
-    scaled: tuple[int, list[list[int]]] | None = None,
+    scaled: ScaledRows | None = None,
 ) -> SpectralReport:
     """Float cross-check: the Jacobi spectrum of M against the sorted X-degrees.
 
@@ -334,11 +334,11 @@ def majorization_report(
     least the total overlap defect of [k] against the neighborhoods, the
     traces must agree, and the smallest eigenvalue must stay positive.  Any
     failure raises with the offending graph serialized, since it would
-    contradict the tree-count bound itself.  scaled, the (D, rows) pair of
-    scaled_schur(g), may be passed in when already computed; the eigensolver
-    gets the rows divided by D as floats.  Each defect sum is one exact
-    Fraction over k * L, with L the lcm of the neighborhood sizes taken from
-    g, so the lower bound does not depend on the rows passed in.
+    contradict the tree-count bound itself.  scaled, the (D, rows, degrees)
+    triple of scaled_schur(g), may be passed in when already computed; the
+    eigensolver gets the rows divided by D as floats.  Each defect sum is one
+    exact Fraction over k * L, with L the lcm of the neighborhood sizes in
+    those degrees, so the lower bound does not depend on the rows passed in.
 
     Tolerances follow the module rule: partial sums, defects and the smallest
     eigenvalue allow an absolute FLOAT_TOL; the trace gap allows
@@ -346,10 +346,10 @@ def majorization_report(
     """
     if not is_connected(g):
         raise DisconnectedGraph("majorization is stated for connected graphs")
-    den, rows = scaled_schur(g) if scaled is None else scaled
+    den, rows, dd = scaled_schur(g) if scaled is None else scaled
     spectrum = eigen_sym([[x / den for x in row] for row in rows])
-    a, order, lcm_b, numers = _prefix_defects(g)
-    a_sorted = tuple(a[i] for i in order)
+    order, lcm_b, numers = _prefix_defects(g, dd)
+    a_sorted = tuple(dd.a[i] for i in order)
     gaps = []
     defects = []
     lam_sum = 0.0
@@ -359,8 +359,8 @@ def majorization_report(
         deg_sum += a_sorted[k - 1]
         gaps.append(lam_sum - deg_sum)
         defects.append(Fraction(numer, k * lcm_b))
-    trace_gap = abs(sum(spectrum.values) - sum(a))
-    trace_tol = FLOAT_TOL * max(1.0, float(sum(a)))
+    trace_gap = abs(sum(spectrum.values) - sum(dd.a))
+    trace_tol = FLOAT_TOL * max(1.0, float(sum(dd.a)))
     majorizes = all(gap >= -FLOAT_TOL for gap in gaps) and trace_gap <= trace_tol
     report = SpectralReport(
         spectrum=spectrum,

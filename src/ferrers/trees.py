@@ -13,7 +13,7 @@ from .errors import (
     IsolatedVertex,
 )
 from .graphs import DEFAULT_CAP, BipartiteGraph, degrees, is_connected
-from .linalg import bareiss_det, laplacian_rows, scaled_schur
+from .linalg import ScaledRows, bareiss_det, laplacian_rows, scaled_schur
 
 SpanningTree = frozenset  # of (x index, y index) edge pairs
 
@@ -98,15 +98,15 @@ def check_reduction(
     g: BipartiteGraph,
     *,
     tau: int | None = None,
-    scaled: tuple[int, list[list[int]]] | None = None,
+    scaled: ScaledRows | None = None,
     det: int | None = None,
 ) -> bool:
     """Exact identity tau * m * n = (prod of y-degrees) * det M.
 
-    tau, scaled (the (D, rows) pair of scaled_schur(g)) and det (det of those
-    rows, such as the last leading minor from certify_majorization) may be
-    passed in when already computed.  Otherwise det(D*M) = D^m det M is taken
-    by bareiss_det on a copy of the rows.  The identity is checked as
+    tau, scaled (the (D, rows, degrees) triple of scaled_schur(g), which
+    gives b) and det (det of those rows, such as the last leading minor from
+    certify_majorization) may be passed in when already computed.  Otherwise
+    det(D*M) = D^m det M is taken by bareiss_det on a copy of the rows.  The identity is checked as
     tau * m * n * D^m = (prod b) * det(D*M) in integers; a mismatch raises
     with both sides shown as rationals.
     """
@@ -114,12 +114,12 @@ def check_reduction(
         raise DisconnectedGraph("the reduction identity applies to connected graphs")
     if tau is None:
         tau = tau_matrix_tree(g)
-    den, rows = scaled_schur(g) if scaled is None else scaled
+    den, rows, dd = scaled_schur(g) if scaled is None else scaled
     scale = den**g.m
     left = tau * g.m * g.n * scale
     if det is None:
         det = bareiss_det([row[:] for row in rows])
-    right = prod(degrees(g).b) * det
+    right = prod(dd.b) * det
     if left != right:
         raise IdentityViolation(
             f"tau*m*n = {Fraction(left, scale)} but (prod b)*det M = {Fraction(right, scale)}"

@@ -33,7 +33,7 @@ from .graphs import (
     is_ferrers,
     write_graph,
 )
-from .linalg import matrix_M, rat_str, scaled_schur
+from .linalg import ScaledRows, matrix_M, rat_str, scaled_schur
 from .spectral import certify_majorization, majorization_report
 from .trees import check_reduction, ferrers_invariant, tau_brute_force, tau_matrix_tree
 
@@ -81,7 +81,7 @@ def verify_graph(
     g: BipartiteGraph,
     *,
     tau: int | None = None,
-    scaled: tuple[int, list[list[int]]] | None = None,
+    scaled: ScaledRows | None = None,
 ) -> VerificationRecord:
     """Verify one connected graph: bound, equality vs staircase shape, cross-checks.
 
@@ -92,8 +92,8 @@ def verify_graph(
     boolean fields; no eigenvalue is computed.  The certificate's no-swap
     elimination gives det(D*M) to the reduction, which takes the determinant
     with row swaps itself when the certificate fails.  tau and scaled, the
-    (D, rows) pair of scaled_schur(g), may be passed in when already
-    computed.
+    (D, rows, degrees) triple of scaled_schur(g), may be passed in when
+    already computed; the checks read the degrees from scaled.
     """
     if not is_connected(g):
         raise DisconnectedGraph("verification needs a connected graph")
@@ -271,9 +271,12 @@ def verify_pairs(
     the brute-force and deletion-independence cross-checks for graphs with at
     most that many edges.  emit receives one JSON-ready record per graph, and
     workers > 1 splits the mask ranges across processes, at most one per
-    chunk of masks.  Each chunk returns its own CampaignSummary, and the
-    campaign's summary absorbs them in mask order.
+    chunk of masks; None runs serially and a value below 1 is a ValueError.
+    Each chunk returns its own CampaignSummary, and the campaign's summary
+    absorbs them in mask order.
     """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     pair_list = sorted(set(pairs))
     if not pair_list:
         raise ValueError("no (m, n) pairs to verify")

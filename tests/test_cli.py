@@ -255,6 +255,13 @@ class TestVerify:
         assert main(["verify", "2", "2", "--workers", "2", "--format", "plain"]) == 0
         assert "graphs_checked: 8" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_input_error(self, workers, capsys):
+        assert main(["verify", "2", "2", "--workers", workers]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"workers must be at least 1, got {workers}" in captured.err
+
     def test_fault_inject_exits_one(self, corrupt, capsys):
         corrupt("inequality")
         assert main(["verify", "1", "1"]) == 1

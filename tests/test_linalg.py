@@ -108,7 +108,7 @@ class TestLeadingMinors:
             g = BipartiteGraph(m, n, tuple(rng.randint(1, (1 << m) - 1) for _ in range(n)))
             if g.edge_count <= DEFAULT_CAP or not is_connected(g):
                 continue
-            den, rows = scaled_schur(g)
+            den, rows, _ = scaled_schur(g)
             exact = sympy.Matrix(rows).det()
             minors = leading_minors([row[:] for row in rows])
             assert len(minors) == m
@@ -321,17 +321,21 @@ class TestMatrixM:
 
     def test_corrupted_degrees_fail_the_downstream_checks(self, monkeypatch):
         # The build of D*M has no check of its own: one x-degree off by one
-        # there, and in the Laplacian, fails the tree count against F, the
-        # reduction identity and the majorization certificate on every graph.
+        # there fails the reduction identity and the majorization certificate
+        # on every graph, since both read the degrees scaled_schur returns.
+        # The Laplacian counts its own diagonal, so tau does not move.
         def corrupted(g):
             dd = degrees(g)
             return DegreeData(dd.a[:-1] + (dd.a[-1] + 1,), dd.b)
 
+        clean = []
+        verify_pairs([(3, 3)], emit=clean.append)
         monkeypatch.setattr("ferrers.linalg.degrees", corrupted)
-        s = verify_pairs([(3, 3)], fail_fast=False)
-        assert s.graphs_checked > 0
-        for category in ("inequality", "reduction", "majorization"):
-            assert s.failure_counts[category] == s.graphs_checked
+        records = []
+        s = verify_pairs([(3, 3)], fail_fast=False, emit=records.append)
+        assert s.graphs_checked == len(clean) > 0
+        assert s.failure_counts == dict.fromkeys(("reduction", "majorization"), s.graphs_checked)
+        assert [r["tau"] for r in records] == [r["tau"] for r in clean]
 
     def test_hexagon_adjugate_of_reduced_matrix(self):
         # Reduced matrix of the hexagon has adjugate (3/4) J: rank-one, uniform.

@@ -292,23 +292,23 @@ class TestMajorization:
         # M + tol*I with tol = p/q is the integer pair (D*q, q*(D*M) + p*D*I).
         tol = 1e-9
         p, q = Fraction(tol).as_integer_ratio()
-        den, rows = scaled_schur(HEX)
+        den, rows, dd = scaled_schur(HEX)
         perturbed = [
             [q * x + (p * den if i == k else 0) for k, x in enumerate(row)]
             for i, row in enumerate(rows)
         ]
-        rep = majorization_report(HEX, scaled=(den * q, perturbed))
+        rep = majorization_report(HEX, scaled=(den * q, perturbed, dd))
         assert tol < rep.trace_gap < 6 * tol
         assert rep.majorizes
         monkeypatch.setattr("ferrers.spectral.FLOAT_TOL", 1e-10)
         with pytest.raises(IdentityViolation, match="trace gap"):
-            majorization_report(HEX, scaled=(den * q, perturbed))
+            majorization_report(HEX, scaled=(den * q, perturbed, dd))
 
     def test_wrong_matrix_caught(self):
         # Feeding the wrong M must trip one of the exact consistency checks.
         identity = [[1 if i == k else 0 for k in range(3)] for i in range(3)]
         with pytest.raises(IdentityViolation):
-            majorization_report(HEX, scaled=(1, identity))
+            majorization_report(HEX, scaled=(1, identity, degrees(HEX)))
 
     def test_defect_sums_match_overlap_defect(self):
         # Reference: the defect sum at k adds overlap_defect of the top-k
@@ -334,15 +334,15 @@ class TestCertifyMajorization:
     def test_every_small_graph_certified(self):
         for m, n in ((1, 3), (2, 2), (3, 2), (3, 3), (2, 4), (4, 2)):
             for g in enumerate_connected(m, n):
-                den, rows = scaled_schur(g)
+                den, rows, _ = scaled_schur(g)
                 minors = certify_majorization(g)
                 assert len(minors) == m and all(p > 0 for p in minors)
                 assert minors[-1] == bareiss_det(rows)
 
     def test_precomputed_rows_accepted_and_left_unchanged(self):
-        den, rows = scaled_schur(HEX)
+        den, rows, dd = scaled_schur(HEX)
         before = [row[:] for row in rows]
-        assert certify_majorization(HEX, scaled=(den, rows)) == certify_majorization(HEX)
+        assert certify_majorization(HEX, scaled=(den, rows, dd)) == certify_majorization(HEX)
         assert rows == before
 
     def test_disconnected_rejected(self):
@@ -351,34 +351,34 @@ class TestCertifyMajorization:
 
     @pytest.mark.parametrize("delta", [1, -1])
     def test_perturbed_off_diagonal_pair_caught(self, delta):
-        den, rows = scaled_schur(HEX)
+        den, rows, dd = scaled_schur(HEX)
         rows[0][1] += delta
         rows[1][0] += delta
         with pytest.raises(IdentityViolation, match="at k=1"):
-            certify_majorization(HEX, scaled=(den, rows))
+            certify_majorization(HEX, scaled=(den, rows, dd))
 
     def test_sunk_diagonal_entry_caught(self):
-        den, rows = scaled_schur(HEX)
+        den, rows, dd = scaled_schur(HEX)
         rows[2][2] -= 10**6
         with pytest.raises(IdentityViolation, match="tr"):
-            certify_majorization(HEX, scaled=(den, rows))
+            certify_majorization(HEX, scaled=(den, rows, dd))
 
     def test_trace_checked_on_its_own(self):
         # +2 on the last vertex's diagonal, -1 on its pair with vertex 0: the
         # sum of R and every prefix identity stay as they were, the trace does not.
-        den, rows = scaled_schur(HEX)
+        den, rows, dd = scaled_schur(HEX)
         rows[2][2] += 2
         rows[0][2] -= 1
         rows[2][0] -= 1
         with pytest.raises(IdentityViolation, match=r"tr\(D\*M\)"):
-            certify_majorization(HEX, scaled=(den, rows))
+            certify_majorization(HEX, scaled=(den, rows, dd))
 
     def test_asymmetric_rows_caught(self):
-        den, rows = scaled_schur(HEX)
+        den, rows, dd = scaled_schur(HEX)
         rows[0][1] += 1
         rows[0][2] -= 1
         with pytest.raises(IdentityViolation, match="not symmetric"):
-            certify_majorization(HEX, scaled=(den, rows))
+            certify_majorization(HEX, scaled=(den, rows, dd))
 
     def test_zero_leading_minor_caught_without_row_swap(self):
         # The hexagon's D*M plus a symmetric perturbation that keeps the trace
@@ -388,12 +388,12 @@ class TestCertifyMajorization:
         rows = [[0, -5, -5], [-5, 8, 19], [-5, 19, 28]]
         assert bareiss_det([row[:] for row in rows]) == 50
         with pytest.raises(IdentityViolation, match=r"leading minors \[0\]"):
-            certify_majorization(HEX, scaled=(6, rows))
+            certify_majorization(HEX, scaled=(6, rows, degrees(HEX)))
 
     def test_wrong_matrix_caught(self):
         identity = [[1 if i == k else 0 for k in range(3)] for i in range(3)]
         with pytest.raises(IdentityViolation):
-            certify_majorization(HEX, scaled=(1, identity))
+            certify_majorization(HEX, scaled=(1, identity, degrees(HEX)))
 
 
 class TestReportDict:

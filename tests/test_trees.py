@@ -13,6 +13,7 @@ from ferrers.graphs import (
     PartitionSpec,
     enumerate_connected,
     ferrers_from_partition,
+    graph_from_mask,
     is_connected,
 )
 from ferrers.linalg import matrix_M, scaled_schur
@@ -76,6 +77,20 @@ class TestMatrixTree:
     def test_all_deletions_agree(self):
         for g in (K22, HEX, K23, STAIR, PATH4):
             assert tau_matrix_tree(g, check_all_deletions=True) == tau_matrix_tree(g)
+
+    def test_count_reads_no_degrees(self, monkeypatch):
+        # The Laplacian counts its own diagonal, so the tree count, the left
+        # side of the bound, shares no code with F on the right.
+        graphs = [graph_from_mask(3, 3, mask) for mask in range(1 << 9)]
+        expected = [tau_matrix_tree(g) for g in graphs]
+
+        def refuse(g):
+            raise AssertionError("tau_matrix_tree read the degrees")
+
+        monkeypatch.setattr("ferrers.linalg.degrees", refuse)
+        assert [tau_matrix_tree(g) for g in graphs] == expected
+        assert [tau_matrix_tree(g, check_all_deletions=True) for g in graphs] == expected
+        assert expected[0b101110011] == 6  # the hexagon
 
 
 class TestBruteForce:
@@ -167,21 +182,21 @@ class TestReduction:
 
     @pytest.mark.parametrize("delta", [1, -1])
     def test_perturbed_off_diagonal_pair_caught(self, delta):
-        den, rows = scaled_schur(HEX)
+        den, rows, dd = scaled_schur(HEX)
         rows[0][1] += delta
         rows[1][0] += delta
         with pytest.raises(IdentityViolation, match=r"^tau\*m\*n = 54 but "):
-            check_reduction(HEX, scaled=(den, rows))
+            check_reduction(HEX, scaled=(den, rows, dd))
 
     def test_doubled_denominator_caught(self):
-        den, rows = scaled_schur(HEX)
+        den, rows, dd = scaled_schur(HEX)
         with pytest.raises(IdentityViolation, match=r"^tau\*m\*n = 54 but "):
-            check_reduction(HEX, scaled=(2 * den, rows))
+            check_reduction(HEX, scaled=(2 * den, rows, dd))
 
     def test_precomputed_rows_left_unchanged(self):
-        den, rows = scaled_schur(HEX)
+        den, rows, dd = scaled_schur(HEX)
         kept = [row[:] for row in rows]
-        check_reduction(HEX, scaled=(den, rows))
+        check_reduction(HEX, scaled=(den, rows, dd))
         assert rows == kept
 
     def test_disconnected_rejected(self):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ferrers import trees
+from ferrers import graphs, trees
 from ferrers.cli import main
 from ferrers.errors import CapExceeded, DisconnectedGraph, NonConvergence, TheoremViolation
 from ferrers.graphs import (
@@ -25,6 +25,7 @@ from ferrers.linalg import RationalMatrix
 from ferrers.spectral import majorization_report
 from ferrers.verify import (
     _CHUNK_MASKS,
+    _examine,
     corollary_check,
     equality_flag_diagonalization,
     record_dict,
@@ -139,6 +140,44 @@ class TestVerifyGraph:
         assert parse_graph(d["graph"]) == HEX
 
 
+class TestSharedDataCounts:
+    """Per graph, the degrees are counted twice: in scaled_schur, which hands
+    them to the checks on D*M, and in ferrers_invariant for F.  The names
+    wrapped are the ones perfbench/spans.py rebinds."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"degrees": 0, "is_connected": 0}
+        for name in counts:
+
+            def counting(g, name=name, real=getattr(graphs, name)):
+                counts[name] += 1
+                return real(g)
+
+            for module in ("verify", "linalg", "trees", "spectral"):
+                monkeypatch.setattr(f"ferrers.{module}.{name}", counting)
+        return counts
+
+    def test_verify_graph(self, calls):
+        rng = random.Random(9)
+        checked = [HEX]
+        while len(checked) < 5:
+            m, n = rng.randint(4, 8), rng.randint(4, 8)
+            g = BipartiteGraph(m, n, tuple(rng.randint(1, (1 << m) - 1) for _ in range(n)))
+            if graphs.is_connected(g):
+                checked.append(g)
+        for g in checked:
+            calls.update(degrees=0, is_connected=0)
+            assert verify_graph(g).reduction_ok
+            assert calls == {"degrees": 2, "is_connected": 3}
+
+    def test_oracled_graph(self, calls):
+        # The Jacobi report adds one connectivity guard and no degree count.
+        rec, bad, used_oracle = _examine(HEX, 14)
+        assert used_oracle and bad == []
+        assert calls == {"degrees": 2, "is_connected": 4}
+
+
 class TestCampaigns:
     def test_smallest_range(self):
         s = verify_range(1, 1)
@@ -167,6 +206,12 @@ class TestCampaigns:
             verify_pairs([])
         with pytest.raises(ValueError):
             verify_pairs([(0, 2)])
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            verify_pairs([(2, 2)], workers=workers)
+        assert verify_pairs([(2, 2)], workers=None).graphs_checked == 5
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
