@@ -41,7 +41,6 @@ from .graphs import (
 from .linalg import (
     RationalMatrix,
     bareiss_det,
-    laplacian,
     leading_minors,
     matrix_M,
     projection_P,
@@ -119,7 +118,6 @@ __all__ = [
     "is_connected",
     "is_ferrers",
     "kyfan_check",
-    "laplacian",
     "leading_minors",
     "majorization_report",
     "matrix_M",

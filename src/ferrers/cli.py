@@ -1,7 +1,7 @@
 """Command line front end: one verb per toolkit operation.
 
 Graphs are read from a file argument or stdin in the neighborhood-list text
-format; a "biadj" first line or the --biadj flag switches to 0/1 matrix rows.
+format; a "biadj" or one-field first line switches to 0/1 matrix rows.
 Every verb honors --format json|csv|plain.  check and verify decide every
 verdict exactly; only spectrum compares floats, at the fixed
 spectral.FLOAT_TOL, so no verb takes a tolerance.  overlap refuses m above
@@ -88,7 +88,7 @@ def _read_text(path: str) -> str:
 
 
 def _load_graph(args):
-    return parse_graph(_read_text(args.path), biadj=args.biadj)
+    return parse_graph(_read_text(args.path))
 
 
 def _parse_subset(spec: str, m: int) -> int:
@@ -180,7 +180,7 @@ def _cmd_corollary(args) -> int:
     if len(lines) < 2:
         raise ValueError("expected a graph followed by one line of weights")
     weights = [Fraction(field) for field in lines[-1].split()]
-    g = parse_graph("\n".join(lines[:-1]) + "\n", biadj=args.biadj)
+    g = parse_graph("\n".join(lines[:-1]) + "\n")
     ok = corollary_check(g, weights, cap=args.cap)
     emit({"ok": ok}, args.format)
     return 0
@@ -198,9 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     graph_in = argparse.ArgumentParser(add_help=False)
     graph_in.add_argument("path", nargs="?", default="-", help="graph file, or - for stdin")
-    graph_in.add_argument(
-        "--biadj", action="store_true", help="read headerless 0/1 matrix rows"
-    )
 
     parser = argparse.ArgumentParser(
         prog="ferrers",

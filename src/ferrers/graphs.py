@@ -283,12 +283,13 @@ def _parse_biadj_lines(lines: Sequence[str]) -> BipartiteGraph:
     return from_biadjacency(parsed)
 
 
-def parse_graph(text: str, *, biadj: bool = False) -> BipartiteGraph:
+def parse_graph(text: str) -> BipartiteGraph:
     """Parse either text form of a graph.
 
-    The default form is the neighborhood list written by write_graph.  A
-    first line reading "biadj" (or the biadj=True flag, for headerless
-    matrices) switches to rows of 0/1 characters.
+    The default form is the neighborhood list written by write_graph, whose
+    header "m n" has two fields.  A first line reading "biadj", or any
+    other first line of one field, switches to rows of 0/1 characters, one
+    per x-vertex: a 0/1 row holds no space, so it is a headerless matrix.
     """
     lines = text.splitlines()
     while lines and not lines[-1].strip():
@@ -298,9 +299,9 @@ def parse_graph(text: str, *, biadj: bool = False) -> BipartiteGraph:
     head = lines[0].strip()
     if head == "biadj":
         return _parse_biadj_lines(lines[1:])
-    if biadj:
-        return _parse_biadj_lines(lines)
     parts = head.split()
+    if len(parts) == 1:
+        return _parse_biadj_lines(lines)
     if len(parts) != 2:
         raise GraphFormatError(f"expected header 'm n' or 'biadj', got {head!r}")
     try:

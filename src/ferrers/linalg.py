@@ -188,11 +188,6 @@ def laplacian_rows(g: BipartiteGraph) -> list[list[int]]:
     return rows
 
 
-def laplacian(g: BipartiteGraph) -> RationalMatrix:
-    """Combinatorial Laplacian of g as an exact matrix."""
-    return RationalMatrix(laplacian_rows(g))
-
-
 @lru_cache(maxsize=None)
 def projection_P(T: int, m: int) -> RationalMatrix:
     """Orthogonal projection onto zero-sum vectors supported on T.

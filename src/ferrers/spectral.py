@@ -24,7 +24,7 @@ from typing import Sequence
 from .errors import CapExceeded, DisconnectedGraph, IdentityViolation, NonConvergence
 from .graphs import DEFAULT_CAP, BipartiteGraph, DegreeData, is_connected, write_graph
 from .graphs import degrees  # noqa: F401  (uncalled here; perfbench/spans.py rebinds it)
-from .linalg import RationalMatrix, ScaledRows, leading_minors, projection_Q, rat_str, scaled_schur
+from .linalg import ScaledRows, leading_minors, projection_Q, rat_str, scaled_schur
 
 FLOAT_TOL = 1e-9
 OFF_DIAGONAL_TOL = 1e-12
@@ -32,12 +32,6 @@ MAX_SWEEPS = 100
 _SYM_TOL = 1e-12
 
 FloatMatrix = Sequence[Sequence[float]]
-
-
-def _as_float_rows(mat: RationalMatrix | FloatMatrix) -> list[list[float]]:
-    if isinstance(mat, RationalMatrix):
-        return mat.to_floats()
-    return [[float(x) for x in row] for row in mat]
 
 
 @dataclass(frozen=True)
@@ -49,7 +43,7 @@ class Spectrum:
     residual: float
 
 
-def eigen_sym(mat: RationalMatrix | FloatMatrix) -> Spectrum:
+def eigen_sym(mat: FloatMatrix) -> Spectrum:
     """Cyclic Jacobi diagonalization of a real symmetric matrix.
 
     Sweeps rotate away every off-diagonal entry larger than 1e-12 in absolute
@@ -57,14 +51,12 @@ def eigen_sym(mat: RationalMatrix | FloatMatrix) -> Spectrum:
     residual max over eigenpairs of |A v - lambda v| is measured against the
     original matrix and must come in under FLOAT_TOL.  The entries are
     converted to float once, into the working copy the sweeps rotate; the
-    residual reads the input rows as given (a RationalMatrix through one
-    float copy).
+    residual reads the input rows as given.
     """
-    orig = mat.to_floats() if isinstance(mat, RationalMatrix) else mat
-    d = len(orig)
-    if any(len(row) != d for row in orig):
+    d = len(mat)
+    if any(len(row) != d for row in mat):
         raise ValueError("matrix must be square")
-    a = [[float(x) for x in row] for row in orig]
+    a = [[float(x) for x in row] for row in mat]
     for i in range(d):
         for k in range(i + 1, d):
             if abs(a[i][k] - a[k][i]) > _SYM_TOL:
@@ -110,7 +102,7 @@ def eigen_sym(mat: RationalMatrix | FloatMatrix) -> Spectrum:
     residual = 0.0
     for lam, v in zip(values, vectors):
         for k in range(d):
-            row = orig[k]
+            row = mat[k]
             r = abs(sum(row[l] * v[l] for l in range(d)) - lam * v[k])
             if r > residual:
                 residual = r
@@ -151,7 +143,7 @@ def overlap_trace(I: int, T: int, m: int, *, verify: bool = False) -> Fraction:
     return value
 
 
-def _check_projection(p: list[list[float]], k: int) -> None:
+def _check_projection(p: FloatMatrix, k: int) -> None:
     d = len(p)
     if any(len(row) != d for row in p):
         raise ValueError("P must be square")
@@ -174,26 +166,20 @@ def _check_projection(p: list[list[float]], k: int) -> None:
         raise ValueError(f"trace(P) = {tr} is not the requested rank {k}")
 
 
-def kyfan_check(
-    S: RationalMatrix | FloatMatrix,
-    P: RationalMatrix | FloatMatrix,
-    k: int,
-) -> bool:
+def kyfan_check(S: FloatMatrix, P: FloatMatrix, k: int) -> bool:
     """Maximum principle: tr(P S) <= sum of the k largest eigenvalues of S.
 
     P must be a rank-k orthogonal projection within FLOAT_TOL.  The projection
     onto the top-k eigenvectors is also assembled and must attain the bound
     within FLOAT_TOL, certifying that the maximum is achieved.
     """
-    s = _as_float_rows(S)
-    p = _as_float_rows(P)
-    d = len(s)
-    if len(p) != d:
+    d = len(S)
+    if len(P) != d:
         raise ValueError("S and P must have the same dimension")
-    _check_projection(p, k)
-    spectrum = eigen_sym(s)
+    _check_projection(P, k)
+    spectrum = eigen_sym(S)
     top = sum(spectrum.values[:k])
-    tr_ps = sum(p[i][j] * s[j][i] for i in range(d) for j in range(d))
+    tr_ps = sum(P[i][j] * S[j][i] for i in range(d) for j in range(d))
     if tr_ps > top + FLOAT_TOL:
         raise IdentityViolation(
             f"tr(PS) = {tr_ps!r} exceeds the top-{k} eigenvalue sum {top!r}"
@@ -201,7 +187,7 @@ def kyfan_check(
     tr_star = 0.0
     for r in range(k):
         v = spectrum.vectors[r]
-        tr_star += sum(v[i] * s[i][j] * v[j] for i in range(d) for j in range(d))
+        tr_star += sum(v[i] * S[i][j] * v[j] for i in range(d) for j in range(d))
     if abs(tr_star - top) > FLOAT_TOL:
         raise IdentityViolation(
             f"top-{k} eigenprojection attains {tr_star!r}, expected {top!r}"

@@ -10,8 +10,11 @@ offending graph is always serialized into the error.
 from __future__ import annotations
 
 import time
+from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import prod
 from typing import Callable, Iterable, Sequence
 
@@ -126,12 +129,12 @@ def verify_graph(
 
 @dataclass
 class CampaignSummary:
-    """Tally of one exhaustive campaign, or of one chunk of its masks.
+    """Tally of one exhaustive campaign, or of one chunk (m, n, lo, hi) of its masks.
 
     dims is the campaign's rectangle (the largest m and n), or the chunk's
-    pair.  failure_counts and failure_examples hold the failed checks by
-    category; they stay empty on the fail-fast path, where the campaign
-    aborts instead.  violations is their total.  oracle_checked counts
+    pair.  failure_counts (a Counter) and failure_examples hold the failed
+    checks by category; they stay empty on the fail-fast path, where the
+    campaign aborts instead.  violations is their total.  oracle_checked counts
     graphs that also went through the brute-force, deletion-independence
     and Jacobi spectrum cross-checks.  A chunk leaves wall_time at 0; the
     campaign sets its own.
@@ -143,7 +146,7 @@ class CampaignSummary:
     ferrers_count: int = 0
     wall_time: float = 0.0
     oracle_checked: int = 0
-    failure_counts: dict[str, int] = field(default_factory=dict)
+    failure_counts: Counter[str] = field(default_factory=Counter)
     failure_examples: dict[str, str] = field(default_factory=dict)
 
     @property
@@ -156,9 +159,9 @@ class CampaignSummary:
         self.equality_cases += other.equality_cases
         self.ferrers_count += other.ferrers_count
         self.oracle_checked += other.oracle_checked
-        for category, count in other.failure_counts.items():
-            self.failure_counts[category] = self.failure_counts.get(category, 0) + count
-            self.failure_examples.setdefault(category, other.failure_examples[category])
+        self.failure_counts.update(other.failure_counts)
+        for category, example in other.failure_examples.items():
+            self.failure_examples.setdefault(category, example)
 
 
 def summary_dict(s: CampaignSummary) -> dict:
@@ -208,8 +211,10 @@ def _examine(
     return rec, bad, True
 
 
-def _run_chunk(task) -> tuple[CampaignSummary, list[dict] | None]:
-    (m, n, lo, hi, oracle_edge_cap, fail_fast, collect) = task
+def _run_chunk(
+    oracle_edge_cap: int | None, fail_fast: bool, collect: bool, chunk: tuple[int, int, int, int]
+) -> tuple[CampaignSummary, list[dict] | None]:
+    m, n, lo, hi = chunk
     tally = CampaignSummary((m, n))
     records: list[dict] | None = [] if collect else None
     for mask in range(lo, hi):
@@ -228,8 +233,8 @@ def _run_chunk(task) -> tuple[CampaignSummary, list[dict] | None]:
             )
             if fail_fast:
                 raise TheoremViolation(dump)
+            tally.failure_counts.update(bad)
             for category in bad:
-                tally.failure_counts[category] = tally.failure_counts.get(category, 0) + 1
                 tally.failure_examples.setdefault(category, dump)
         if records is not None:
             records.append(record_dict(rec))
@@ -237,21 +242,6 @@ def _run_chunk(task) -> tuple[CampaignSummary, list[dict] | None]:
 
 
 _CHUNK_MASKS = 1 << 13
-
-
-def _chunk_tasks(
-    pairs: Sequence[tuple[int, int]],
-    oracle_edge_cap: int | None,
-    fail_fast: bool,
-    collect: bool,
-) -> list[tuple]:
-    tasks = []
-    for m, n in pairs:
-        total = 1 << (m * n)
-        for lo in range(0, total, _CHUNK_MASKS):
-            hi = min(lo + _CHUNK_MASKS, total)
-            tasks.append((m, n, lo, hi, oracle_edge_cap, fail_fast, collect))
-    return tasks
 
 
 def verify_pairs(
@@ -269,11 +259,11 @@ def verify_pairs(
     first violating graph aborts the whole campaign inside a TheoremViolation;
     otherwise violations are tallied per category.  oracle_edge_cap turns on
     the brute-force and deletion-independence cross-checks for graphs with at
-    most that many edges.  emit receives one JSON-ready record per graph, and
-    workers > 1 splits the mask ranges across processes, at most one per
-    chunk of masks; None runs serially and a value below 1 is a ValueError.
-    Each chunk returns its own CampaignSummary, and the campaign's summary
-    absorbs them in mask order.
+    most that many edges.  emit receives one JSON-ready record per graph.
+    The masks are cut into chunks (m, n, lo, hi), and one loop absorbs each
+    chunk's CampaignSummary and records in mask order: None runs the chunks
+    in turn, workers > 1 runs them in a pool of at most one process per
+    chunk, and a value below 1 is a ValueError.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -286,25 +276,25 @@ def verify_pairs(
         if m * n > cap:
             raise CapExceeded(f"pair ({m}, {n}) exceeds the enumeration cap {cap}")
     start = time.perf_counter()
-    tasks = _chunk_tasks(pair_list, oracle_edge_cap, fail_fast, emit is not None)
+    chunks = [
+        (m, n, lo, min(lo + _CHUNK_MASKS, 1 << (m * n)))
+        for m, n in pair_list
+        for lo in range(0, 1 << (m * n), _CHUNK_MASKS)
+    ]
+    run = partial(_run_chunk, oracle_edge_cap, fail_fast, emit is not None)
     summary = CampaignSummary((max(m for m, _ in pair_list), max(n for _, n in pair_list)))
-
-    def absorb(chunk: tuple[CampaignSummary, list[dict] | None]) -> None:
-        tally, records = chunk
-        summary.absorb(tally)
-        if emit is not None and records is not None:
-            for rec in records:
-                emit(rec)
-
-    if workers is not None and workers > 1 and len(tasks) > 1:
+    if workers is not None and workers > 1 and len(chunks) > 1:
         from multiprocessing import Pool  # only campaigns with workers pay for the import
 
-        with Pool(processes=min(workers, len(tasks))) as pool:
-            for chunk in pool.imap(_run_chunk, tasks):
-                absorb(chunk)
+        runner = Pool(processes=min(workers, len(chunks)))
     else:
-        for task in tasks:
-            absorb(_run_chunk(task))
+        runner = nullcontext()
+    with runner as pool:
+        for tally, records in map(run, chunks) if pool is None else pool.imap(run, chunks):
+            summary.absorb(tally)
+            if emit is not None:
+                for rec in records:
+                    emit(rec)
     summary.wall_time = time.perf_counter() - start
     return summary
 

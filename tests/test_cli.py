@@ -56,7 +56,7 @@ class TestBasicVerbs:
     def test_biadj_flag(self, tmp_path, capsys):
         p = tmp_path / "biadj.txt"
         p.write_text("11\n11\n")
-        assert main(["tau", str(p), "--biadj", "--format", "plain"]) == 0
+        assert main(["tau", str(p), "--format", "plain"]) == 0
         assert capsys.readouterr().out == "4\n"
 
     def test_biadj_header_autodetected(self, monkeypatch, capsys):
@@ -285,7 +285,7 @@ class TestCorollaryVerb:
 
     def test_biadj_graph_section(self, monkeypatch, capsys):
         feed(monkeypatch, "11\n11\n1 1 1 1\n")
-        assert main(["corollary", "--biadj"]) == 0
+        assert main(["corollary"]) == 0
         assert json.loads(capsys.readouterr().out) == {"ok": True}
 
     def test_missing_weights_line(self, monkeypatch, capsys):
@@ -336,6 +336,7 @@ class TestErrorPaths:
             ["check", "HEX", "--tol", "1e-6"],
             ["spectrum", "HEX", "--tol", "1e-6"],
             ["verify", "1", "1", "--tol", "1e-6"],
+            ["tau", "HEX", "--biadj"],
         ],
     )
     def test_flag_of_another_verb_rejected(self, argv, hexfile):

@@ -268,7 +268,7 @@ class TestTextFormat:
         assert parse_graph("biadj\n10\n11\n").nbrs == (0b11, 0b10)
 
     def test_biadj_flag_headerless(self):
-        assert parse_graph("11\n11\n", biadj=True) == K22
+        assert parse_graph("11\n11\n") == K22
 
     def test_empty_neighborhood_not_writable(self):
         with pytest.raises(GraphFormatError):

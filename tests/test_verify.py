@@ -282,6 +282,22 @@ class TestCampaigns:
         assert head.startswith("equality failed")
         assert text == write_graph(graph_from_mask(2, 7, failing[0]))
 
+    def test_fail_fast_pool_raises_the_serial_message(self, corrupt):
+        # (2,7) spans two chunks of masks, so the pool's imap path carries the raise.
+        corrupt("equality")
+        first = next(
+            mask
+            for mask in range(1 << 14)
+            if is_connected(g := graph_from_mask(2, 7, mask)) and is_ferrers(g)
+        )
+        messages = []
+        for workers in (None, 2):
+            with pytest.raises(TheoremViolation) as exc:
+                verify_pairs([(2, 7)], workers=workers)
+            messages.append(str(exc.value))
+        assert write_graph(graph_from_mask(2, 7, first)) in messages[0]
+        assert messages[1] == messages[0]
+
     def test_oracle_cross_check_counted(self):
         s = verify_pairs([(2, 2)], oracle_edge_cap=4)
         assert s.oracle_checked == 5  # every connected graph here has <= 4 edges
