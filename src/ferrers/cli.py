@@ -5,8 +5,9 @@ format; a "biadj" or one-field first line switches to 0/1 matrix rows.
 Every verb honors --format json|csv|plain.  check and verify decide every
 verdict exactly; only spectrum compares floats, at the fixed
 spectral.FLOAT_TOL, so no verb takes a tolerance.  overlap refuses m above
-the default cap, since its exact check multiplies two m x m Fraction
-matrices.  Exit codes: 0 on success, 1 when a theorem check fails (a
+the default cap as an input bound, so that no index can make 1 << index
+large; its identity check is integer work.  Each verb passes exact values
+as p/q strings.  Exit codes: 0 on success, 1 when a theorem check fails (a
 counterexample to the bound or a failed cross-check), 2 on bad input.
 """
 
@@ -43,19 +44,9 @@ from .verify import (
 def _plain_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return rat_str(value)
     if isinstance(value, (list, tuple)):
         return " ".join(_plain_value(v) for v in value)
     return str(value)
-
-
-def _json_value(value):
-    if isinstance(value, Fraction):
-        return rat_str(value)
-    if isinstance(value, (list, tuple)):
-        return [_json_value(v) for v in value]
-    return value
 
 
 def _csv_value(value) -> str:
@@ -67,7 +58,7 @@ def _csv_value(value) -> str:
 def emit(payload: dict, fmt: str, out=None) -> None:
     out = out or sys.stdout
     if fmt == "json":
-        print(json.dumps({k: _json_value(v) for k, v in payload.items()}), file=out)
+        print(json.dumps(payload), file=out)
     elif fmt == "csv":
         writer = csv.writer(out)
         writer.writerow(payload.keys())
@@ -111,7 +102,7 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_invariant(args) -> int:
-    emit({"F": ferrers_invariant(_load_graph(args))}, args.format)
+    emit({"F": rat_str(ferrers_invariant(_load_graph(args)))}, args.format)
     return 0
 
 
@@ -128,12 +119,12 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_overlap(args) -> int:
-    if args.m > DEFAULT_CAP:  # refused before the indices, which may go up to m - 1
-        raise CapExceeded(f"m = {args.m} exceeds the exact-product cap {DEFAULT_CAP}")
+    if args.m > DEFAULT_CAP:  # an input bound, before any index: keeps 1 << index small
+        raise CapExceeded(f"m = {args.m} exceeds the overlap input cap {DEFAULT_CAP}")
     I = _parse_subset(args.I, args.m)
     T = _parse_subset(args.T, args.m)
-    trace = overlap_trace(I, T, args.m, verify=True)
-    emit({"trace": trace, "defect": overlap_defect(I, T)}, args.format)
+    trace = overlap_trace(I, T, args.m)
+    emit({"trace": rat_str(trace), "defect": rat_str(overlap_defect(I, T))}, args.format)
     return 0
 
 

@@ -212,18 +212,14 @@ def canonical_form(g: BipartiteGraph) -> BipartiteGraph:
     The smaller side is permuted exhaustively while the other side is sorted,
     minimizing the tuple of neighborhood bitsets; parts are never swapped.
     """
-    if g.m <= g.n:
-        best = min(
-            tuple(sorted(_permute_bits(t, perm) for t in g.nbrs))
-            for perm in permutations(range(g.m))
-        )
-        return BipartiteGraph(g.m, g.n, best)
-    rows = _transpose(g.nbrs, g.m)
+    if g.m > g.n:
+        rep = canonical_form(BipartiteGraph(g.n, g.m, tuple(_transpose(g.nbrs, g.m))))
+        return BipartiteGraph(g.m, g.n, tuple(_transpose(rep.nbrs, g.n)))
     best = min(
-        tuple(sorted(_permute_bits(r, perm) for r in rows))
-        for perm in permutations(range(g.n))
+        tuple(sorted(_permute_bits(t, perm) for t in g.nbrs))
+        for perm in permutations(range(g.m))
     )
-    return BipartiteGraph(g.m, g.n, tuple(_transpose(best, g.n)))
+    return BipartiteGraph(g.m, g.n, best)
 
 
 def enumerate_connected(

@@ -1,5 +1,7 @@
 """Floating eigensolver, exact overlap formulas, and the majorization certificate.
 
+overlap_trace checks its closed form against the integer entries of the two
+projections on every call, so no Fraction matrix is built here.
 certify_majorization decides majorization and M > 0 exactly, in integers, by
 Ky Fan's maximum principle and Sylvester's criterion; it is what a
 verification record reports.  Eigenvalues are the one place floating point is
@@ -21,10 +23,10 @@ from fractions import Fraction
 from math import lcm, sqrt
 from typing import Sequence
 
-from .errors import CapExceeded, DisconnectedGraph, IdentityViolation, NonConvergence
-from .graphs import DEFAULT_CAP, BipartiteGraph, DegreeData, is_connected, write_graph
+from .errors import DisconnectedGraph, IdentityViolation, NonConvergence
+from .graphs import BipartiteGraph, DegreeData, bit_indices, is_connected, write_graph
 from .graphs import degrees  # noqa: F401  (uncalled here; perfbench/spans.py rebinds it)
-from .linalg import ScaledRows, leading_minors, projection_Q, rat_str, scaled_schur
+from .linalg import ScaledRows, leading_minors, rat_str, scaled_schur
 
 FLOAT_TOL = 1e-9
 OFF_DIAGONAL_TOL = 1e-12
@@ -118,28 +120,30 @@ def overlap_defect(I: int, T: int) -> Fraction:
     return Fraction((I & ~T).bit_count() * (T & ~I).bit_count(), I.bit_count() * T.bit_count())
 
 
-def overlap_trace(I: int, T: int, m: int, *, verify: bool = False) -> Fraction:
-    """Closed form tr(Q_I Q_T) = |I intersect T| + the overlap defect.
+def overlap_trace(I: int, T: int, m: int) -> Fraction:
+    """Closed form tr(Q_I Q_T) = |I intersect T| + the overlap defect, checked on every call.
 
-    With verify=True the trace is recomputed from the exact matrix product of
-    the two projections and must match the closed form.  That product costs
-    m^3 Fraction operations and the projections stay cached, so it refuses
-    m above DEFAULT_CAP.
+    P_I sends the all-ones vector to zero, so tr(Q_I Q_T) = 1 + S / (|I| |T|),
+    where S sums (|I| [i = k] - 1)(|T| [i = k] - 1) over i and k in
+    I intersect T: the integer entries of |I| P_I and |T| P_T.  S reads those
+    entries, not the bit counts of the closed form, so it is an independent
+    route, and a mismatch raises IdentityViolation.  The check is integer work
+    on the common indices only, so any m is accepted.
     """
     if I == 0 or T == 0:
         raise ValueError("both subsets must be nonempty")
     if I < 0 or T < 0 or (I | T) >> m:
         raise ValueError(f"subsets use indices outside 0..{m - 1}")
     value = (I & T).bit_count() + overlap_defect(I, T)
-    if verify:
-        if m > DEFAULT_CAP:
-            raise CapExceeded(f"m = {m} exceeds the exact-product cap {DEFAULT_CAP}")
-        exact = (projection_Q(I, m) * projection_Q(T, m)).trace()
-        if exact != value:
-            raise IdentityViolation(
-                f"closed-form overlap {value} vs exact trace {exact} "
-                f"for I={I:#x}, T={T:#x}, m={m}"
-            )
+    size_i, size_t = I.bit_count(), T.bit_count()
+    common = list(bit_indices(I & T))
+    s = sum((size_i * (i == k) - 1) * (size_t * (i == k) - 1) for i in common for k in common)
+    exact = 1 + Fraction(s, size_i * size_t)
+    if exact != value:
+        raise IdentityViolation(
+            f"closed-form overlap {value} vs exact trace {exact} "
+            f"for I={I:#x}, T={T:#x}, m={m}"
+        )
     return value
 
 

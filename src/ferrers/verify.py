@@ -221,7 +221,10 @@ def _run_chunk(
         if not _mask_connected(m, n, mask):
             continue
         g = graph_from_mask(m, n, mask)
-        rec, bad, used_oracle = _examine(g, oracle_edge_cap)
+        try:
+            rec, bad, used_oracle = _examine(g, oracle_edge_cap)
+        except Exception as exc:  # same type, so callers still catch it; now it names g
+            raise type(exc)(f"{exc} for:\n{write_graph(g)}") from exc
         tally.graphs_checked += 1
         tally.equality_cases += rec.equality
         tally.ferrers_count += rec.ferrers
@@ -263,7 +266,8 @@ def verify_pairs(
     The masks are cut into chunks (m, n, lo, hi), and one loop absorbs each
     chunk's CampaignSummary and records in mask order: None runs the chunks
     in turn, workers > 1 runs them in a pool of at most one process per
-    chunk, and a value below 1 is a ValueError.
+    chunk, and a value below 1 is a ValueError.  An exception raised while
+    checking one graph is re-raised with its type and that graph added.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")

@@ -110,7 +110,7 @@ def test_criterion_4_overlap_formula_exhaustive():
     for m in range(1, 7):
         for i in range(1, 1 << m):
             for t in range(1, 1 << m):
-                value = overlap_trace(i, t, m, verify=True)
+                value = overlap_trace(i, t, m)
                 defect = overlap_defect(i, t)
                 assert value == (i & t).bit_count() + defect
                 nested = (i & t) == i or (i & t) == t

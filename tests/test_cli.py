@@ -8,6 +8,7 @@ import tracemalloc
 
 import pytest
 
+from ferrers import spectral
 from ferrers.cli import main
 from ferrers.graphs import BipartiteGraph, parse_graph
 
@@ -137,7 +138,7 @@ class TestOverlap:
         "m, message",
         [
             ("3", "index 400000000 in subset '400000000' is outside 0..2"),
-            ("1000000000", "m = 1000000000 exceeds the exact-product cap 20"),
+            ("1000000000", "m = 1000000000 exceeds the overlap input cap 20"),
         ],
         ids=["beyond-m", "beyond-cap"],
     )
@@ -161,12 +162,18 @@ class TestOverlap:
         assert json.loads(capsys.readouterr().out) == {"trace": "1/1", "defect": "0/1"}
 
     def test_ground_set_above_the_cap_is_refused_before_any_product(self, monkeypatch, capsys):
-        def refuse(T, m):
-            raise AssertionError("built a projection for a refused ground set")
+        def refuse(I, T, m):
+            raise AssertionError("checked the overlap of a refused ground set")
 
-        monkeypatch.setattr("ferrers.spectral.projection_Q", refuse)
+        monkeypatch.setattr("ferrers.cli.overlap_trace", refuse)
         assert main(["overlap", "0", "0", "21"]) == 2
-        assert "exceeds the exact-product cap 20" in capsys.readouterr().err
+        assert "exceeds the overlap input cap 20" in capsys.readouterr().err
+
+    def test_failed_identity_check_exits_1(self, monkeypatch, capsys):
+        real = spectral.overlap_defect
+        monkeypatch.setattr("ferrers.spectral.overlap_defect", lambda i, t: real(i, t) + 1)
+        assert main(["overlap", "0,1", "1,2", "3"]) == 1
+        assert "theorem check failed:" in capsys.readouterr().err
 
 
 class TestStaircaseVerbs:

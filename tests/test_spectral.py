@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ferrers.errors import CapExceeded, DisconnectedGraph, IdentityViolation, NonConvergence
+from ferrers.errors import DisconnectedGraph, IdentityViolation, NonConvergence
 from ferrers.graphs import (
     BipartiteGraph,
     PartitionSpec,
@@ -170,13 +170,22 @@ class TestOverlap:
         m = 4
         for i in range(1, 1 << m):
             for t in range(1, 1 << m):
-                value = overlap_trace(i, t, m, verify=True)
+                value = overlap_trace(i, t, m)
                 assert value == (projection_Q(i, m) * projection_Q(t, m)).trace()
 
     def test_exact_check_capped_on_the_ground_set(self):
+        # The integer check has no cap on the ground set.
         assert overlap_trace(1, 1, 21) == 1
-        with pytest.raises(CapExceeded):
-            overlap_trace(1, 1, 21, verify=True)
+        low, high = (1 << 100) - 1, (1 << 200) - (1 << 50)
+        assert overlap_trace(low, high, 200) == 50 + Fraction(50 * 100, 100 * 150)
+
+    def test_check_fires_on_a_wrong_closed_form(self, monkeypatch):
+        def wrong(i, t):
+            return overlap_defect(i, t) + 1
+
+        monkeypatch.setattr("ferrers.spectral.overlap_defect", wrong)
+        with pytest.raises(IdentityViolation, match="closed-form overlap 9/4 vs exact trace 5/4"):
+            overlap_trace(0b011, 0b110, 3)
 
     def test_zero_defect_means_nested(self):
         m = 4

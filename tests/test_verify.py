@@ -298,6 +298,24 @@ class TestCampaigns:
         assert write_graph(graph_from_mask(2, 7, first)) in messages[0]
         assert messages[1] == messages[0]
 
+    def test_unexpected_exception_names_its_graph_serial_and_pool(self, monkeypatch):
+        # (2,7) spans two chunks of masks, so workers=2 really runs the pool.
+        def broken(mat):
+            raise ValueError("eigensolver broke")
+
+        monkeypatch.setattr("ferrers.spectral.eigen_sym", broken)
+        first = next(
+            g for mask in range(1 << 14) if is_connected(g := graph_from_mask(2, 7, mask))
+        )
+        messages = []
+        for workers in (None, 2):
+            with pytest.raises(ValueError) as exc:
+                verify_pairs([(2, 7)], oracle_edge_cap=14, fail_fast=False, workers=workers)
+            messages.append(str(exc.value))
+        assert messages[0].startswith("eigensolver broke")
+        assert write_graph(first) in messages[0]
+        assert messages[1] == messages[0]
+
     def test_oracle_cross_check_counted(self):
         s = verify_pairs([(2, 2)], oracle_edge_cap=4)
         assert s.oracle_checked == 5  # every connected graph here has <= 4 edges
