@@ -170,7 +170,10 @@ def _cmd_corollary(args) -> int:
         lines.pop()
     if len(lines) < 2:
         raise ValueError("expected a graph followed by one line of weights")
-    weights = [Fraction(field) for field in lines[-1].split()]
+    try:
+        weights = [Fraction(field) for field in lines[-1].split()]
+    except ZeroDivisionError as exc:  # "1/0" is bad input, not a failed check
+        raise ValueError(f"weight with a zero denominator in {lines[-1].strip()!r}") from exc
     g = parse_graph("\n".join(lines[:-1]) + "\n")
     ok = corollary_check(g, weights, cap=args.cap)
     emit({"ok": ok}, args.format)
@@ -233,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument("m", type=int)
     enum.add_argument("n", type=int)
     enum.add_argument(
-        "--dedupe", action="store_true", help="one representative per permutation class"
+        "--dedupe", action="store_true", help="one canonical form per class, in canonical order"
     )
     enum.set_defaults(handler=_cmd_enumerate)
 

@@ -9,7 +9,7 @@ multi-edges by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -198,12 +198,12 @@ def _permute_bits(t: int, perm: Sequence[int]) -> int:
     return out
 
 
-def _transpose(cols: Sequence[int], m: int) -> list[int]:
-    rows = [0] * m
-    for j, t in enumerate(cols):
+def _transpose(g: BipartiteGraph) -> BipartiteGraph:
+    rows = [0] * g.m
+    for j, t in enumerate(g.nbrs):
         for i in bit_indices(t):
             rows[i] |= 1 << j
-    return rows
+    return BipartiteGraph(g.n, g.m, tuple(rows))
 
 
 def canonical_form(g: BipartiteGraph) -> BipartiteGraph:
@@ -211,10 +211,10 @@ def canonical_form(g: BipartiteGraph) -> BipartiteGraph:
 
     The smaller side is permuted exhaustively while the other side is sorted,
     minimizing the tuple of neighborhood bitsets; parts are never swapped.
+    For m <= n the result's neighborhoods are therefore in ascending order.
     """
     if g.m > g.n:
-        rep = canonical_form(BipartiteGraph(g.n, g.m, tuple(_transpose(g.nbrs, g.m))))
-        return BipartiteGraph(g.m, g.n, tuple(_transpose(rep.nbrs, g.n)))
+        return _transpose(canonical_form(_transpose(g)))
     best = min(
         tuple(sorted(_permute_bits(t, perm) for t in g.nbrs))
         for perm in permutations(range(g.m))
@@ -231,27 +231,30 @@ def enumerate_connected(
 ) -> Iterator[BipartiteGraph]:
     """All connected bipartite graphs on labeled parts of sizes m and n.
 
-    Walks every biadjacency mask and keeps the connected ones, so the cost is
-    2**(m*n) connectivity checks; anything above the cap is refused.  With
-    dedupe=True only one graph per row/column permutation class is produced,
-    namely its canonical form.
+    Walks every biadjacency mask in ascending order and keeps the connected
+    ones: 2**(m*n) connectivity checks.  With dedupe=True it yields each
+    row/column permutation class once, as its canonical form, and keeps no
+    record of earlier output: for m <= n it keeps each connected sorted
+    multiset of n nonempty neighborhoods that is its own canonical form (m!
+    permutations each), in ascending order; for m > n it transposes the
+    (n, m) classes, in their order.  Both paths refuse m*n above the cap.
     """
     if m < 1 or n < 1:
         raise DimensionError(f"both parts must be nonempty, got m={m}, n={n}")
     if m * n > cap:
         raise CapExceeded(f"m*n = {m * n} exceeds the enumeration cap {cap}")
-    seen: set[tuple[int, ...]] | None = set() if dedupe else None
-    for mask in range(1 << (m * n)):
-        if not _mask_connected(m, n, mask):
-            continue
-        g = graph_from_mask(m, n, mask)
-        if seen is None:
-            yield g
-        else:
-            rep = canonical_form(g)
-            if rep.nbrs not in seen:
-                seen.add(rep.nbrs)
-                yield rep
+    if not dedupe:
+        for mask in range(1 << (m * n)):
+            if _mask_connected(m, n, mask):
+                yield graph_from_mask(m, n, mask)
+    elif m > n:
+        yield from map(_transpose, enumerate_connected(n, m, cap=cap, dedupe=True))
+    else:
+        for nbrs in combinations_with_replacement(range(1, 1 << m), n):
+            if _nbrs_connected(m, nbrs):
+                g = BipartiteGraph(m, n, nbrs)
+                if canonical_form(g) == g:
+                    yield g
 
 
 def write_graph(g: BipartiteGraph) -> str:
@@ -304,6 +307,8 @@ def parse_graph(text: str) -> BipartiteGraph:
         m, n = int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise GraphFormatError(f"non-integer dimensions in header {head!r}") from exc
+    if m < 1 or n < 1:
+        raise DimensionError(f"both parts must be nonempty, got m={m}, n={n}")
     body = lines[1:]
     if len(body) != n:
         raise GraphFormatError(f"expected {n} neighborhood lines, found {len(body)}")

@@ -156,12 +156,6 @@ class RationalMatrix:
     def trace(self) -> Fraction:
         return sum((self.rows[i][i] for i in range(self.dim)), _ZERO)
 
-    def mul_vec(self, vec: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-        if len(vec) != self.dim:
-            raise DimensionError(f"vector length {len(vec)} does not match dim {self.dim}")
-        v = [Fraction(x) for x in vec]
-        return tuple(sum((a * b for a, b in zip(row, v)), _ZERO) for row in self.rows)
-
     def det_exact(self) -> Fraction:
         """Exact determinant: clear each row's denominators, then integer Bareiss."""
         scale = 1

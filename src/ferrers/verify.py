@@ -29,14 +29,15 @@ from .graphs import (
     BipartiteGraph,
     PartitionSpec,
     _mask_connected,
-    degrees,
+    degrees,  # noqa: F401  (uncalled here; perfbench/spans.py rebinds it)
     ferrers_from_partition,
     graph_from_mask,
     is_connected,
     is_ferrers,
     write_graph,
 )
-from .linalg import ScaledRows, matrix_M, rat_str, scaled_schur
+from .linalg import ScaledRows, bareiss_det, rat_str, scaled_schur
+from .linalg import matrix_M  # noqa: F401  (uncalled here; perfbench/spans.py rebinds it)
 from .spectral import certify_majorization, majorization_report
 from .trees import check_reduction, ferrers_invariant, tau_brute_force, tau_matrix_tree
 
@@ -382,38 +383,32 @@ def equality_flag_diagonalization(p: PartitionSpec) -> bool:
     all-ones vector and v_r = (1, ..., 1, -(r-1), 0, ..., 0) with r-1 leading
     ones.  In that basis M must be diagonal with r-th entry equal to the
     number of columns of height at least r, which is the r-th X-degree; the
-    determinant must therefore be the exact product of the X-degrees.
+    determinant must therefore be the exact product of the X-degrees.  The
+    check runs in integers on the rows of D*M and the degrees that one
+    scaled_schur call returns; its messages show values in M's units.
     """
-    g = ferrers_from_partition(p)
-    m = g.m
-    M = matrix_M(g)
-    a = degrees(g).a
+    m = p.m
+    den, rows, dd = scaled_schur(ferrers_from_partition(p))
+    a = dd.a
     counts = [sum(1 for h in p.t if h >= r) for r in range(1, m + 1)]
     if list(a) != counts:
         raise IdentityViolation(
             f"degree readback {list(a)} disagrees with column-height counts {counts}"
         )
-    basis: list[list[Fraction]] = [[Fraction(1)] * m]
-    for r in range(2, m + 1):
-        basis.append(
-            [Fraction(1)] * (r - 1) + [Fraction(1 - r)] + [Fraction(0)] * (m - r)
-        )
-    images = [M.mul_vec(v) for v in basis]
+    basis = [[1] * m] + [[1] * (r - 1) + [1 - r] + [0] * (m - r) for r in range(2, m + 1)]
+    images = [[sum(x * y for x, y in zip(row, v)) for row in rows] for v in basis]
     for r in range(m):
         for s in range(m):
-            value = sum((x * y for x, y in zip(basis[r], images[s])), Fraction(0))
-            if r == s:
-                norm2 = sum((x * x for x in basis[r]), Fraction(0))
-                expected = counts[r] * norm2
-            else:
-                expected = Fraction(0)
+            value = sum(x * y for x, y in zip(basis[r], images[s]))
+            expected = den * counts[r] * sum(x * x for x in basis[r]) if r == s else 0
             if value != expected:
                 raise IdentityViolation(
-                    f"flag basis entry ({r},{s}) is {value}, expected {expected} "
-                    f"for partition {p.t}"
+                    f"flag basis entry ({r},{s}) is {Fraction(value, den)}, expected "
+                    f"{Fraction(expected, den)} for partition {p.t}"
                 )
-    det = M.det_exact()
-    expected_det = Fraction(prod(a))
-    if det != expected_det:
-        raise IdentityViolation(f"det M = {det} but the degree product is {expected_det}")
+    det = bareiss_det(rows)
+    if det != den**m * prod(a):
+        raise IdentityViolation(
+            f"det M = {Fraction(det, den**m)} but the degree product is {prod(a)}"
+        )
     return True

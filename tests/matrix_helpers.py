@@ -1,9 +1,11 @@
 """Matrix constructors and cofactor tools that only the tests need.
 
 The package builds its matrices from graphs; these plain functions give the
-tests the zero and identity matrices, principal submatrices and the adjugate
-of a RationalMatrix.
+tests the zero and identity matrices, principal submatrices, the adjugate
+and matrix-vector products of a RationalMatrix.
 """
+
+from fractions import Fraction
 
 from ferrers.errors import DimensionError
 from ferrers.linalg import RationalMatrix
@@ -15,6 +17,13 @@ def zeros(dim: int) -> RationalMatrix:
 
 def identity(dim: int) -> RationalMatrix:
     return RationalMatrix([[1 if i == k else 0 for k in range(dim)] for i in range(dim)])
+
+
+def mul_vec(mat: RationalMatrix, vec) -> tuple[Fraction, ...]:
+    if len(vec) != mat.dim:
+        raise DimensionError(f"vector length {len(vec)} does not match dim {mat.dim}")
+    v = [Fraction(x) for x in vec]
+    return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in mat.rows)
 
 
 def minor(mat: RationalMatrix, r: int, c: int) -> RationalMatrix:

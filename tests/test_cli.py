@@ -217,6 +217,11 @@ class TestEnumerate:
         main(["enumerate", "2", "2", "--dedupe"])
         assert len(capsys.readouterr().out.splitlines()) == 2
 
+    def test_dedupe_plain_prints_each_class(self, capsys):
+        assert main(["enumerate", "4", "5", "--dedupe", "--format", "plain"]) == 0
+        blocks = [b for b in capsys.readouterr().out.split("\n\n") if b.strip()]
+        assert len(blocks) == 558
+
     def test_cap_exceeded_is_input_error(self, capsys):
         assert main(["enumerate", "5", "5"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -323,6 +328,12 @@ class TestErrorPaths:
 
     def test_missing_file(self, tmp_path):
         assert main(["tau", str(tmp_path / "nope.txt")]) == 2
+
+    def test_zero_denominator_weight_is_input_error(self, monkeypatch, capsys):
+        # Fraction("1/0") raises ZeroDivisionError; exit 1 is kept for failed checks.
+        feed(monkeypatch, K22_TEXT + "1/0 2 3 1\n")
+        assert main(["corollary"]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_disconnected_graph_for_spectrum(self, monkeypatch, capsys):
         feed(monkeypatch, "2 2\n0\n1\n")

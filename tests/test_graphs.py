@@ -15,6 +15,7 @@ from ferrers.errors import (
 from ferrers.graphs import (
     BipartiteGraph,
     PartitionSpec,
+    _transpose,
     canonical_form,
     degrees,
     enumerate_connected,
@@ -235,9 +236,24 @@ class TestEnumeration:
         assert len(reps) == 2
         assert all(canonical_form(g) == g for g in reps)
 
-    def test_dedupe_counts_match_classes(self):
-        reps = {canonical_form(g).nbrs for g in enumerate_connected(2, 3)}
-        assert len(list(enumerate_connected(2, 3, dedupe=True))) == len(reps)
+    @pytest.mark.parametrize(
+        "m,n", [(m, n) for m in range(1, 13) for n in range(1, 13) if m * n <= 12]
+    )
+    def test_dedupe_counts_match_classes(self, m, n):
+        reps = list(enumerate_connected(m, n, dedupe=True))
+        assert len(set(reps)) == len(reps)
+        assert all(canonical_form(g) == g for g in reps)
+        # The reference route: canonicalize every labeled graph.
+        assert set(reps) == {canonical_form(g) for g in enumerate_connected(m, n)}
+        # Canonical order: ascending nbrs for m <= n, else the (n, m) order transposed.
+        if m <= n:
+            assert [g.nbrs for g in reps] == sorted(g.nbrs for g in reps)
+        else:
+            assert [_transpose(g) for g in reps] == list(enumerate_connected(n, m, dedupe=True))
+
+    @pytest.mark.parametrize("m,n,classes", [(4, 4, 150), (4, 5, 558), (5, 4, 558)])
+    def test_dedupe_class_counts(self, m, n, classes):
+        assert sum(1 for _ in enumerate_connected(m, n, dedupe=True)) == classes
 
     def test_graph_from_mask_layout(self):
         g = graph_from_mask(2, 2, 0b1011)
@@ -275,23 +291,31 @@ class TestTextFormat:
             write_graph(BipartiteGraph(1, 2, (1, 0)))
 
     @pytest.mark.parametrize(
-        "text",
+        "text,error",
         [
-            "",
-            "2\n0\n",
-            "x y\n0\n",
-            "2 2\n0 1\n",  # missing a line
-            "2 2\n0 1\n\n",  # empty line
-            "2 2\n0 1\n0 2\n",  # index out of range
-            "2 2\n0 0\n0 1\n",  # duplicate index
-            "2 2\n0 z\n0 1\n",
-            "biadj\n10\n1\n",  # ragged rows
-            "biadj\n12\n11\n",  # non-binary
-            "biadj\n",
+            pytest.param(text, GraphFormatError, id=text)
+            for text in [
+                "",
+                "2\n0\n",
+                "x y\n0\n",
+                "2 2\n0 1\n",  # missing a line
+                "2 2\n0 1\n\n",  # empty line
+                "2 2\n0 1\n0 2\n",  # index out of range
+                "2 2\n0 0\n0 1\n",  # duplicate index
+                "2 2\n0 z\n0 1\n",
+                "biadj\n10\n1\n",  # ragged rows
+                "biadj\n12\n11\n",  # non-binary
+                "biadj\n",
+            ]
+        ]
+        + [
+            # Header sizes below 1 are refused before any index is read.
+            pytest.param(text, DimensionError, id=text)
+            for text in ["-1 1\n0\n", "0 1\n0\n"]
         ],
     )
-    def test_malformed(self, text):
-        with pytest.raises(GraphFormatError):
+    def test_malformed(self, text, error):
+        with pytest.raises(error):
             parse_graph(text)
 
     def test_trailing_blank_lines_tolerated(self):

@@ -24,7 +24,7 @@ from ferrers.linalg import (
     schur_LX,
 )
 from ferrers.verify import verify_pairs
-from matrix_helpers import adjugate, delete_row_col, identity, zeros
+from matrix_helpers import adjugate, delete_row_col, identity, mul_vec, zeros
 
 HEX = BipartiteGraph(3, 3, (0b011, 0b110, 0b101))
 K22 = BipartiteGraph(2, 2, (0b11, 0b11))
@@ -139,9 +139,9 @@ class TestRationalMatrix:
 
     def test_mul_vec(self):
         a = RationalMatrix([[1, 2], [3, 4]])
-        assert a.mul_vec((1, 1)) == (3, 7)
+        assert mul_vec(a, (1, 1)) == (3, 7)
         with pytest.raises(DimensionError):
-            a.mul_vec((1, 1, 1))
+            mul_vec(a, (1, 1, 1))
 
     def test_constant(self):
         j = RationalMatrix.constant(2, Fraction(1, 2))
@@ -222,7 +222,7 @@ class TestLaplacian:
         lap = RationalMatrix(laplacian_rows(BipartiteGraph(m, len(nbrs), tuple(nbrs))))
         assert lap.rows == tuple(zip(*lap.rows))
         ones = tuple(Fraction(1) for _ in range(lap.dim))
-        assert lap.mul_vec(ones) == tuple(Fraction(0) for _ in range(lap.dim))
+        assert mul_vec(lap, ones) == tuple(Fraction(0) for _ in range(lap.dim))
 
 
 class TestProjections:
@@ -263,7 +263,7 @@ class TestProjections:
         ones = tuple(Fraction(1) for _ in range(m))
         for bits in range(1, 1 << m):
             p = projection_P(bits, m)
-            assert p.mul_vec(ones) == tuple(Fraction(0) for _ in range(m))
+            assert mul_vec(p, ones) == tuple(Fraction(0) for _ in range(m))
             assert p * uniform == zeros(m)
             assert uniform * p == zeros(m)
 

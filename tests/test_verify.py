@@ -8,11 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ferrers import graphs, trees
+from ferrers import graphs, linalg, trees
 from ferrers.cli import main
-from ferrers.errors import CapExceeded, DisconnectedGraph, NonConvergence, TheoremViolation
+from ferrers.errors import (
+    CapExceeded,
+    DisconnectedGraph,
+    IdentityViolation,
+    NonConvergence,
+    TheoremViolation,
+)
 from ferrers.graphs import (
     BipartiteGraph,
+    DegreeData,
     PartitionSpec,
     ferrers_from_partition,
     graph_from_mask,
@@ -142,7 +149,8 @@ class TestVerifyGraph:
 
 class TestSharedDataCounts:
     """Per graph, the degrees are counted twice: in scaled_schur, which hands
-    them to the checks on D*M, and in ferrers_invariant for F.  The names
+    them to the checks on D*M, and in ferrers_invariant for F.  A staircase's
+    flag diagonalization counts them once, in scaled_schur.  The names
     wrapped are the ones perfbench/spans.py rebinds."""
 
     @pytest.fixture
@@ -176,6 +184,10 @@ class TestSharedDataCounts:
         rec, bad, used_oracle = _examine(HEX, 14)
         assert used_oracle and bad == []
         assert calls == {"degrees": 2, "is_connected": 4}
+
+    def test_flag_diagonalization(self, calls):
+        assert equality_flag_diagonalization(PartitionSpec((5, 3, 3, 2, 1)))
+        assert calls == {"degrees": 1, "is_connected": 0}
 
 
 class TestCampaigns:
@@ -462,6 +474,22 @@ class TestCorollary:
         assert corollary_check(g, z)
 
 
+def _degrees_plus_one(g):
+    den, rows, dd = linalg.scaled_schur(g)
+    return den, rows, DegreeData((dd.a[0] + 1,) + dd.a[1:], dd.b)
+
+
+def _perturbed_pair(g):
+    den, rows, dd = linalg.scaled_schur(g)
+    rows[0][1] += 1
+    rows[1][0] += 1
+    return den, rows, dd
+
+
+def _det_plus_one(rows):
+    return linalg.bareiss_det(rows) + 1
+
+
 class TestFlagDiagonalization:
     @pytest.mark.parametrize(
         "heights", [(1,), (2, 2), (3, 2, 1), (4, 4, 4, 4), (5, 3, 3, 2, 1)]
@@ -473,3 +501,16 @@ class TestFlagDiagonalization:
     @settings(max_examples=60, deadline=None)
     def test_every_staircase_diagonalizes(self, p):
         assert equality_flag_diagonalization(p)
+
+    @pytest.mark.parametrize(
+        "name,fake,message",
+        [
+            pytest.param("scaled_schur", _degrees_plus_one, "degree readback", id="degrees"),
+            pytest.param("scaled_schur", _perturbed_pair, "flag basis entry", id="pair"),
+            pytest.param("bareiss_det", _det_plus_one, "det M = ", id="det"),
+        ],
+    )
+    def test_each_check_fires(self, monkeypatch, name, fake, message):
+        monkeypatch.setattr(f"ferrers.verify.{name}", fake)
+        with pytest.raises(IdentityViolation, match=message):
+            equality_flag_diagonalization(PartitionSpec((3, 2, 1)))
