@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import lcm, prod
 
 from .errors import (
     CapExceeded,
@@ -18,26 +18,60 @@ from .linalg import ScaledRows, bareiss_det, laplacian_rows, scaled_schur
 SpanningTree = frozenset  # of (x index, y index) edge pairs
 
 
-def tau_matrix_tree(g: BipartiteGraph, *, check_all_deletions: bool = False) -> int:
-    """Number of spanning trees, as the Laplacian minor determinant at vertex 0.
+def _minor_det_at_x0(lap: list[list[int]], m: int) -> int:
+    """Determinant of the Laplacian minor at x_0, its X block eliminated in closed form.
 
-    The count is an exact nonnegative integer; a negative determinant would
-    mean a bug and is a hard error.  With check_all_deletions the minor at
-    every deletion index is sliced from the same Laplacian and all m+n
-    determinants must agree.
+    X has no X-X edges, so rows 1..m-1 of the minor are diag(a_1..a_(m-1))
+    on X.  An isolated x_i makes a zero row.  Otherwise the minor is
+    prod(a) * det S, with S = L_YY - sum over i >= 1 of L[Y][i] L[i][Y] / a_i
+    the Schur complement onto Y.  With D = lcm(a), D*S is an integer n x n
+    block and det(D*S) = D^n det S, so prod(a) * det(D*S) is divisible by D^n;
+    a remainder means a wrong determinant and is a hard error.
+    """
+    a = [lap[i][i] for i in range(1, m)]
+    if 0 in a:
+        return 0
+    den = lcm(*a)
+    yrows = lap[m:]
+    block = [[den * v for v in row[m:]] for row in yrows]
+    for i, ai in enumerate(a, start=1):
+        w = den // ai
+        right = [(z, v) for z, v in enumerate(lap[i][m:]) if v]
+        for y, row in enumerate(yrows):
+            if row[i]:
+                out = block[y]
+                wy = w * row[i]
+                for z, v in right:
+                    out[z] -= wy * v
+    scale = den ** len(block)
+    t, rest = divmod(prod(a) * bareiss_det(block), scale)
+    if rest:
+        raise IdentityViolation(
+            f"prod(a) * det(D*S) is not a multiple of D^n = {scale}: remainder {rest}"
+        )
+    return t
+
+
+def tau_matrix_tree(g: BipartiteGraph, *, check_all_deletions: bool = False) -> int:
+    """Number of spanning trees, as the Laplacian minor determinant at x_0.
+
+    The minor's X rows form a diagonal block, which _minor_det_at_x0
+    eliminates in closed form; Bareiss then runs on the n x n Y block only.
+    The count reads nothing but laplacian_rows(g).  It is an exact
+    nonnegative integer; a negative determinant would mean a bug and is a
+    hard error.  With check_all_deletions the minor at every other deletion
+    index 1..m+n-1 is sliced from the same Laplacian and its generic
+    bareiss_det must equal the closed form.
     Disconnected graphs give 0, not an error.
     """
     lap = laplacian_rows(g)
-
-    def minor(drop: int) -> list[list[int]]:
-        return [row[:drop] + row[drop + 1 :] for r, row in enumerate(lap) if r != drop]
-
-    t = bareiss_det(minor(0))
+    t = _minor_det_at_x0(lap, g.m)
     if t < 0:
         raise IdentityViolation(f"negative Laplacian minor determinant {t}")
     if check_all_deletions:
         for drop in range(1, g.m + g.n):
-            other = bareiss_det(minor(drop))
+            minor = [row[:drop] + row[drop + 1 :] for r, row in enumerate(lap) if r != drop]
+            other = bareiss_det(minor)
             if other != t:
                 raise IdentityViolation(
                     f"minor determinant depends on the deleted vertex: "

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ferrers.trees
 from ferrers.errors import CapExceeded, DisconnectedGraph, IdentityViolation, IsolatedVertex
 from ferrers.graphs import (
     BipartiteGraph,
@@ -16,7 +17,7 @@ from ferrers.graphs import (
     graph_from_mask,
     is_connected,
 )
-from ferrers.linalg import matrix_M, scaled_schur
+from ferrers.linalg import bareiss_det, laplacian_rows, matrix_M, scaled_schur
 from ferrers.trees import (
     check_reduction,
     ferrers_invariant,
@@ -33,6 +34,11 @@ STAIR = ferrers_from_partition(PartitionSpec((3, 2, 1)))
 
 def complete(m, n):
     return BipartiteGraph(m, n, ((1 << m) - 1,) * n)
+
+
+def generic_minor_at_x0(g):
+    """Oracle: bareiss_det of the whole Laplacian minor sliced at x_0."""
+    return bareiss_det([row[1:] for row in laplacian_rows(g)[1:]])
 
 
 def spans(g, edge_set):
@@ -70,24 +76,89 @@ class TestMatrixTree:
         assert tau_matrix_tree(BipartiteGraph(2, 2, (0b01, 0b10))) == 0
         assert tau_matrix_tree(BipartiteGraph(1, 2, (1, 0))) == 0
 
-    @pytest.mark.parametrize("m,n", list(product(range(1, 5), range(1, 5))))
+    @pytest.mark.parametrize(
+        "g,count",
+        [
+            (BipartiteGraph(1, 3, (1, 1, 1)), 1),  # m = 1: no X block to eliminate
+            (BipartiteGraph(1, 3, (1, 0, 1)), 0),  # m = 1 with an isolated y
+            (BipartiteGraph(3, 2, (0b110, 0b110)), 0),  # isolated x_0, the deleted vertex
+            (BipartiteGraph(3, 2, (0b011, 0b011)), 0),  # isolated x_2, a zero row of the minor
+            (BipartiteGraph(3, 2, (0b111, 0b110)), 4),  # a pendant x_0 on a 4-cycle
+        ],
+    )
+    def test_closed_form_edge_cases(self, g, count):
+        assert tau_matrix_tree(g) == count == generic_minor_at_x0(g)
+
+    def test_closed_form_matches_generic_minor_exhaustively(self):
+        # Every labeled graph with m*n <= 12, connected or not.
+        for m in range(1, 13):
+            for n in range(1, 12 // m + 1):
+                for mask in range(1 << (m * n)):
+                    g = graph_from_mask(m, n, mask)
+                    assert tau_matrix_tree(g) == generic_minor_at_x0(g), (m, n, mask)
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_closed_form_is_the_schur_complement_of_any_diagonal_x_block(self, data):
+        # Not only Laplacians: any integer matrix whose X block is diagonal
+        # with nonzero entries, the other entries arbitrary and asymmetric.
+        m = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(1, 4))
+        d = m + n
+        rows = [data.draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)) for _ in range(d)]
+        for i in range(m):
+            rows[i][:m] = [0] * m
+            rows[i][i] = data.draw(st.integers(1, 6))
+        assert ferrers.trees._minor_det_at_x0(rows, m) == bareiss_det([r[1:] for r in rows[1:]])
+
+    @pytest.mark.parametrize("m,n", list(product(range(1, 11), range(1, 11))))
     def test_complete_bipartite_closed_form(self, m, n):
         assert tau_matrix_tree(complete(m, n)) == m ** (n - 1) * n ** (m - 1)
+
+    @pytest.mark.parametrize("m,n", list(product(range(2, 11), range(2, 11))))
+    def test_complete_bipartite_minus_two_disjoint_edges(self, m, n):
+        # The non-staircase graph with the largest tau/F seen so far; at m
+        # or n = 2 the negative powers cancel, so the value is a Fraction.
+        g = BipartiteGraph(m, n, ((1 << m) - 2, (1 << m) - 3) + ((1 << m) - 1,) * (n - 2))
+        k = m * n - m - n
+        assert tau_matrix_tree(g) == Fraction(m) ** (n - 3) * Fraction(n) ** (m - 3) * k * (k + 2)
 
     def test_all_deletions_agree(self):
         for g in (K22, HEX, K23, STAIR, PATH4):
             assert tau_matrix_tree(g, check_all_deletions=True) == tau_matrix_tree(g)
 
+    def test_deletion_oracle_catches_a_wrong_closed_form(self, monkeypatch):
+        exact = ferrers.trees._minor_det_at_x0
+        monkeypatch.setattr(ferrers.trees, "_minor_det_at_x0", lambda lap, m: exact(lap, m) + 1)
+        assert tau_matrix_tree(HEX) == 7
+        with pytest.raises(IdentityViolation, match="depends on the deleted vertex"):
+            tau_matrix_tree(HEX, check_all_deletions=True)
+
+    @pytest.mark.parametrize(
+        "fault,message",
+        [
+            (lambda det: det + 1, "not a multiple of D\\^n = 27"),
+            (lambda det: -det, "negative Laplacian minor determinant -81"),
+        ],
+    )
+    def test_wrong_block_determinant_caught(self, monkeypatch, fault, message):
+        # K_{3,3}: D = 3, prod(a) = 9 and det(D*S) = 243, so tau = 81.
+        monkeypatch.setattr(ferrers.trees, "bareiss_det", lambda rows: fault(bareiss_det(rows)))
+        with pytest.raises(IdentityViolation, match=message):
+            tau_matrix_tree(complete(3, 3))
+
     def test_count_reads_no_degrees(self, monkeypatch):
         # The Laplacian counts its own diagonal, so the tree count, the left
-        # side of the bound, shares no code with F on the right.
+        # side of the bound, shares no code with F on the right, nor with
+        # the rows of D*M that the reduction compares it against.
         graphs = [graph_from_mask(3, 3, mask) for mask in range(1 << 9)]
         expected = [tau_matrix_tree(g) for g in graphs]
 
         def refuse(g):
-            raise AssertionError("tau_matrix_tree read the degrees")
+            raise AssertionError("tau_matrix_tree read the degrees or D*M")
 
         monkeypatch.setattr("ferrers.linalg.degrees", refuse)
+        monkeypatch.setattr("ferrers.trees.scaled_schur", refuse)
         assert [tau_matrix_tree(g) for g in graphs] == expected
         assert [tau_matrix_tree(g, check_all_deletions=True) for g in graphs] == expected
         assert expected[0b101110011] == 6  # the hexagon

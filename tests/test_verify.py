@@ -365,6 +365,15 @@ class TestCampaigns:
         with pytest.raises(TheoremViolation, match=category):
             verify_pairs([(2, 2)], oracle_edge_cap=14)
 
+    def test_wrong_closed_form_counts_deletion_on_every_graph(self, monkeypatch):
+        # The tree count eliminates the X block in closed form; the deletion
+        # oracle's generic minors are the independent route that catches it.
+        exact = trees._minor_det_at_x0
+        monkeypatch.setattr(trees, "_minor_det_at_x0", lambda lap, m: exact(lap, m) + 1)
+        s = verify_pairs([(3, 3)], oracle_edge_cap=14, fail_fast=False)
+        assert s.oracle_checked == s.graphs_checked > 0
+        assert s.failure_counts["deletion"] == s.graphs_checked
+
     def test_oracled_graphs_compute_tau_once(self, monkeypatch):
         calls = []
 
