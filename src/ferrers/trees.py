@@ -52,6 +52,24 @@ def _minor_det_at_x0(lap: list[list[int]], m: int) -> int:
     return t
 
 
+def _check_every_deletion(lap: list[list[int]], t: int) -> None:
+    """Raise unless the minor of lap at every deleted vertex has determinant t.
+
+    Every row and every column must sum to 0, and generic bareiss_det of
+    the minor at index 1 must equal t; by the lemma in tau_matrix_tree the
+    two together fix every cofactor to t.
+    """
+    for side, lines in (("row", lap), ("column", zip(*lap))):
+        for k, line in enumerate(lines):
+            if total := sum(line):
+                raise IdentityViolation(f"Laplacian {side} {k} sums to {total}, not 0")
+    other = bareiss_det([row[:1] + row[2:] for r, row in enumerate(lap) if r != 1])
+    if other != t:
+        raise IdentityViolation(
+            f"minor determinant depends on the deleted vertex: {t} at 0 vs {other} at 1"
+        )
+
+
 def tau_matrix_tree(g: BipartiteGraph, *, check_all_deletions: bool = False) -> int:
     """Number of spanning trees, as the Laplacian minor determinant at x_0.
 
@@ -59,24 +77,25 @@ def tau_matrix_tree(g: BipartiteGraph, *, check_all_deletions: bool = False) -> 
     eliminates in closed form; Bareiss then runs on the n x n Y block only.
     The count reads nothing but laplacian_rows(g).  It is an exact
     nonnegative integer; a negative determinant would mean a bug and is a
-    hard error.  With check_all_deletions the minor at every other deletion
-    index 1..m+n-1 is sliced from the same Laplacian and its generic
-    bareiss_det must equal the closed form.
-    Disconnected graphs give 0, not an error.
+    hard error.  Disconnected graphs give 0, not an error.
+
+    With check_all_deletions the minor at every other deleted vertex must
+    equal the closed form too, and one generic minor certifies them all.
+    If every row and every column of an integer matrix A sums to 0, then A
+    is singular and A adj(A) = adj(A) A = 0.  Below rank N-1, adj(A) = 0;
+    at rank N-1 the kernel and the left kernel are both spanned by the
+    all-ones vector, so adj(A) is a multiple of the all-ones matrix.  Either
+    way all cofactors are equal (Kirchhoff; Biggs, Algebraic Graph Theory,
+    1974).  So _check_every_deletion checks the sums in integers and the
+    generic Bareiss minor at index 1, which uses nothing of the diagonal X
+    block, against the closed form.
     """
     lap = laplacian_rows(g)
     t = _minor_det_at_x0(lap, g.m)
     if t < 0:
         raise IdentityViolation(f"negative Laplacian minor determinant {t}")
     if check_all_deletions:
-        for drop in range(1, g.m + g.n):
-            minor = [row[:drop] + row[drop + 1 :] for r, row in enumerate(lap) if r != drop]
-            other = bareiss_det(minor)
-            if other != t:
-                raise IdentityViolation(
-                    f"minor determinant depends on the deleted vertex: "
-                    f"{t} at 0 vs {other} at {drop}"
-                )
+        _check_every_deletion(lap, t)
     return t
 
 

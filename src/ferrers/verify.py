@@ -137,7 +137,9 @@ class CampaignSummary:
     checks by category; they stay empty on the fail-fast path, where the
     campaign aborts instead.  violations is their total.  oracle_checked counts
     graphs that also went through the brute-force, deletion-independence
-    and Jacobi spectrum cross-checks.  A chunk leaves wall_time at 0; the
+    and Jacobi spectrum cross-checks; deletion-independence is certified by
+    zero Laplacian row and column sums plus one generic minor, since zero
+    sums make all cofactors equal.  A chunk leaves wall_time at 0; the
     campaign sets its own.
     """
 
@@ -187,6 +189,8 @@ def _examine(
     Oracled graphs take tau from the all-deletions check, so it is computed
     once, and the rows of D*M are built once for the record and the Jacobi
     report; when the deletion check fails, verify_graph takes tau itself.
+    That check certifies every deletion from one generic minor: the
+    Laplacian's rows and columns sum to 0, so all its cofactors are equal.
     The report is the float cross-check of the exact majorization certificate;
     an IdentityViolation there counts as "spectrum".
     """
@@ -263,7 +267,9 @@ def verify_pairs(
     first violating graph aborts the whole campaign inside a TheoremViolation;
     otherwise violations are tallied per category.  oracle_edge_cap turns on
     the brute-force and deletion-independence cross-checks for graphs with at
-    most that many edges.  emit receives one JSON-ready record per graph.
+    most that many edges; the latter checks zero Laplacian row and column
+    sums and one generic minor, which together make every cofactor equal.
+    emit receives one JSON-ready record per graph.
     The masks are cut into chunks (m, n, lo, hi), and one loop absorbs each
     chunk's CampaignSummary and records in mask order: None runs the chunks
     in turn, workers > 1 runs them in a pool of at most one process per

@@ -2,13 +2,14 @@
 
 The package builds its matrices from graphs; these plain functions give the
 tests the zero and identity matrices, principal submatrices, the adjugate
-and matrix-vector products of a RationalMatrix.
+and matrix-vector products of a RationalMatrix, and the reference route of
+the deletion oracle on integer rows.
 """
 
 from fractions import Fraction
 
-from ferrers.errors import DimensionError
-from ferrers.linalg import RationalMatrix
+from ferrers.errors import DimensionError, IdentityViolation
+from ferrers.linalg import RationalMatrix, bareiss_det
 
 
 def zeros(dim: int) -> RationalMatrix:
@@ -53,3 +54,22 @@ def adjugate(mat: RationalMatrix) -> RationalMatrix:
     return RationalMatrix(
         [[(-1) ** (i + j) * minor(mat, j, i).det_exact() for j in range(d)] for i in range(d)]
     )
+
+
+def every_deletion_minor(lap: list[list[int]], t: int) -> int:
+    """Reference deletion oracle: generic bareiss_det of the minor at every index 1..N-1.
+
+    Each must equal t, the minor at index 0, or IdentityViolation is raised;
+    returns t.  It makes no use of row or column sums, so it checks the
+    one-minor oracle of tau_matrix_tree by a route that does not rely on
+    the cofactor lemma.
+    """
+    for drop in range(1, len(lap)):
+        minor = [row[:drop] + row[drop + 1 :] for r, row in enumerate(lap) if r != drop]
+        other = bareiss_det(minor)
+        if other != t:
+            raise IdentityViolation(
+                f"minor determinant depends on the deleted vertex: "
+                f"{t} at 0 vs {other} at {drop}"
+            )
+    return t

@@ -1,5 +1,6 @@
 """Spanning tree counts: matrix-tree vs exhaustive search, the degree-product bound."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -24,6 +25,7 @@ from ferrers.trees import (
     tau_brute_force,
     tau_matrix_tree,
 )
+from matrix_helpers import every_deletion_minor
 
 HEX = BipartiteGraph(3, 3, (0b011, 0b110, 0b101))
 K22 = BipartiteGraph(2, 2, (0b11, 0b11))
@@ -39,6 +41,34 @@ def complete(m, n):
 def generic_minor_at_x0(g):
     """Oracle: bareiss_det of the whole Laplacian minor sliced at x_0."""
     return bareiss_det([row[1:] for row in laplacian_rows(g)[1:]])
+
+
+def fires(check, lap, t):
+    try:
+        check(lap, t)
+    except IdentityViolation:
+        return True
+    return False
+
+
+def corruptions(lap, rng):
+    """Seeded faults in a Laplacian: +-1 on one entry or a symmetric pair; one edge pair zeroed."""
+    d = len(lap)
+    for _ in range(2):
+        r, c, delta = rng.randrange(d), rng.randrange(d), rng.choice((-1, 1))
+        bad = [row[:] for row in lap]
+        bad[r][c] += delta
+        yield bad
+        if r != c:
+            bad = [row[:] for row in bad]
+            bad[c][r] += delta
+            yield bad
+    edges = [(r, c) for r in range(d) for c in range(r + 1, d) if lap[r][c]]
+    if edges:
+        r, c = rng.choice(edges)
+        bad = [row[:] for row in lap]
+        bad[r][c] = bad[c][r] = 0
+        yield bad
 
 
 def spans(g, edge_set):
@@ -90,12 +120,17 @@ class TestMatrixTree:
         assert tau_matrix_tree(g) == count == generic_minor_at_x0(g)
 
     def test_closed_form_matches_generic_minor_exhaustively(self):
-        # Every labeled graph with m*n <= 12, connected or not.
+        # Every labeled graph with m*n <= 12, connected or not.  Neither the
+        # one-minor deletion oracle nor the all-minors reference fires, and
+        # both give the generic minor at x_0.
         for m in range(1, 13):
             for n in range(1, 12 // m + 1):
                 for mask in range(1 << (m * n)):
                     g = graph_from_mask(m, n, mask)
-                    assert tau_matrix_tree(g) == generic_minor_at_x0(g), (m, n, mask)
+                    t = generic_minor_at_x0(g)
+                    assert tau_matrix_tree(g) == t, (m, n, mask)
+                    assert tau_matrix_tree(g, check_all_deletions=True) == t, (m, n, mask)
+                    assert every_deletion_minor(laplacian_rows(g), t) == t, (m, n, mask)
 
     @given(st.data())
     @settings(max_examples=60)
@@ -126,6 +161,73 @@ class TestMatrixTree:
     def test_all_deletions_agree(self):
         for g in (K22, HEX, K23, STAIR, PATH4):
             assert tau_matrix_tree(g, check_all_deletions=True) == tau_matrix_tree(g)
+
+    def test_one_minor_oracle_fires_wherever_the_reference_fires(self):
+        # Every 7th labeled graph with m*n <= 12, its Laplacian corrupted by
+        # seeded edits, each claimed against its generic minor at x_0 and
+        # against that plus one.
+        rng = random.Random(14)
+        check = ferrers.trees._check_every_deletion
+        reference_fired = only_new_fired = 0
+        for m in range(1, 13):
+            for n in range(1, 12 // m + 1):
+                for mask in range(0, 1 << (m * n), 7):
+                    lap = laplacian_rows(graph_from_mask(m, n, mask))
+                    for bad in [lap, *corruptions(lap, rng)]:
+                        t = bareiss_det([row[1:] for row in bad[1:]])
+                        for claim in (t, t + 1):
+                            old = fires(every_deletion_minor, bad, claim)
+                            new = fires(check, bad, claim)
+                            assert new or not old, (m, n, mask, bad, claim)
+                            reference_fired += old
+                            only_new_fired += new and not old
+        assert reference_fired > 0 and only_new_fired > 0
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_zero_row_and_column_sums_make_every_cofactor_equal(self, data):
+        # The lemma behind the one-minor oracle, on asymmetric integer
+        # matrices that are not Laplacians: complete a random block so that
+        # every row and every column sums to 0.
+        d = data.draw(st.integers(2, 6))
+        entries = st.lists(st.integers(-3, 3), min_size=d - 1, max_size=d - 1)
+        rows = [data.draw(entries) for _ in range(d - 1)]
+        for row in rows:
+            row.append(-sum(row))
+        rows.append([-sum(col) for col in zip(*rows)])
+        t = bareiss_det([row[1:] for row in rows[1:]])
+        assert every_deletion_minor(rows, t) == t
+        ferrers.trees._check_every_deletion(rows, t)
+        assert fires(ferrers.trees._check_every_deletion, rows, t + 1)
+
+    def test_deletion_oracle_catches_a_laplacian_row_not_summing_to_zero(self, monkeypatch):
+        # Diagonal +1 at x_0: the minor at x_0 deletes that row, so the
+        # closed form does not move, but row 0 and column 0 sum to 1.
+        def heavier_x0(g):
+            rows = laplacian_rows(g)
+            rows[0][0] += 1
+            return rows
+
+        monkeypatch.setattr(ferrers.trees, "laplacian_rows", heavier_x0)
+        assert tau_matrix_tree(HEX) == 6
+        with pytest.raises(IdentityViolation, match="Laplacian row 0 sums to 1, not 0"):
+            tau_matrix_tree(HEX, check_all_deletions=True)
+
+    def test_deletion_oracle_catches_a_laplacian_column_not_summing_to_zero(self, monkeypatch):
+        # One -1 of row 0 moved to a zero entry of the same row: every row
+        # still sums to 0, two columns do not, and the minor at x_0 is the same.
+        def moved_edge(g):
+            rows = laplacian_rows(g)
+            row = rows[0]
+            src, dst = row.index(-1), row.index(0, 1)
+            row[src], row[dst] = 0, -1
+            return rows
+
+        monkeypatch.setattr(ferrers.trees, "laplacian_rows", moved_edge)
+        assert all(sum(row) == 0 for row in moved_edge(HEX))
+        assert tau_matrix_tree(HEX) == 6
+        with pytest.raises(IdentityViolation, match="Laplacian column [0-9]+ sums to -?1, not 0"):
+            tau_matrix_tree(HEX, check_all_deletions=True)
 
     def test_deletion_oracle_catches_a_wrong_closed_form(self, monkeypatch):
         exact = ferrers.trees._minor_det_at_x0

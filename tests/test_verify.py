@@ -374,6 +374,19 @@ class TestCampaigns:
         assert s.oracle_checked == s.graphs_checked > 0
         assert s.failure_counts["deletion"] == s.graphs_checked
 
+    def test_laplacian_row_sum_fault_counts_deletion_on_every_graph(self, monkeypatch):
+        # Diagonal +1 at x_0 leaves the minor at x_0, and so every verdict,
+        # unchanged; the deletion oracle's row-sum check catches it.
+        def heavier_x0(g):
+            rows = linalg.laplacian_rows(g)
+            rows[0][0] += 1
+            return rows
+
+        monkeypatch.setattr(trees, "laplacian_rows", heavier_x0)
+        s = verify_pairs([(3, 3)], oracle_edge_cap=14, fail_fast=False)
+        assert s.oracle_checked == s.graphs_checked > 0
+        assert s.failure_counts == {"deletion": s.graphs_checked}
+
     def test_oracled_graphs_compute_tau_once(self, monkeypatch):
         calls = []
 
