@@ -47,7 +47,6 @@ from .linalg import (
     projection_Q,
     rat_str,
     scaled_schur,
-    schur_LX,
 )
 from .spectral import (
     SpectralReport,
@@ -130,7 +129,6 @@ __all__ = [
     "record_dict",
     "report_dict",
     "scaled_schur",
-    "schur_LX",
     "summary_dict",
     "tau_brute_force",
     "tau_matrix_tree",

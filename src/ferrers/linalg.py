@@ -2,11 +2,12 @@
 
 Determinants clear denominators row by row and then run fraction-free Bareiss
 elimination on integers, so no floating point enters any certified value.
-The Laplacian, its Schur complement L_X and the matrix M are each built once,
-as integer rows (over a common denominator for L_X and M); the reduction
-identity and the majorization certificate check those rows.  The Fraction
-projection matrices are the readable reference for the projection algebra;
-they are cached because they are immutable.
+The Laplacian and the matrix M = L_X + (n/m) J are each built once, as
+integer rows (over a common denominator for M); the reduction identity and
+the majorization certificate check those rows.  scaled_schur is the one
+place that refuses a disconnected graph, and every check on D*M goes through
+it.  The Fraction projection matrices are the readable reference for the
+projection algebra; they are cached because they are immutable.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Sequence
 
-from .errors import DimensionError, DisconnectedGraph, IsolatedVertex
+from .errors import DimensionError, DisconnectedGraph
 from .graphs import BipartiteGraph, DegreeData, bit_indices, degrees, is_connected
 
 _ZERO = Fraction(0)
@@ -216,13 +217,15 @@ def scaled_schur(g: BipartiteGraph) -> ScaledRows:
 
     L_X = A - B C^(-1) B^T is the Schur complement of the Laplacian onto the X
     block and M = L_X + (n/m) J.  D = lcm(m, y-degrees), so every entry of
-    D * M, and of D * L_X = D * M - (D * n / m) J, is an integer.  Entry
-    (i, k) of D * M is D * n / m, plus D * a_i on the diagonal, minus D / b_j
-    for each y_j adjacent to both x_i and x_k.
+    D * M is an integer.  Entry (i, k) of D * M is D * n / m, plus D * a_i on
+    the diagonal, minus D / b_j for each y_j adjacent to both x_i and x_k.
+    M is defined only for connected graphs, so a disconnected g, an isolated
+    y-vertex included, raises DisconnectedGraph before any degree is counted;
+    this is the one connectivity guard of every check that reads D*M.
     """
+    if not is_connected(g):
+        raise DisconnectedGraph("the bound and M = L_X + (n/m)J need a connected graph")
     dd = degrees(g)
-    if 0 in dd.b:
-        raise IsolatedVertex("a y-vertex has degree zero, so the C block is singular")
     m = g.m
     den = lcm(m, *dd.b)
     rows = [[den * g.n // m] * m for _ in range(m)]
@@ -238,28 +241,14 @@ def scaled_schur(g: BipartiteGraph) -> ScaledRows:
     return den, rows, dd
 
 
-def schur_LX(g: BipartiteGraph) -> RationalMatrix:
-    """Schur complement A - B C^(-1) B^T of the Laplacian onto the X block.
-
-    The readable Fraction view of scaled_schur(g) with D * n / m taken off
-    every entry, which leaves D * L_X; the per-graph checks read the integer
-    rows of D * M directly.
-    """
-    den, rows, _ = scaled_schur(g)
-    base = den * g.n // g.m
-    return RationalMatrix([[Fraction(x - base, den) for x in row] for row in rows])
-
-
 def matrix_M(g: BipartiteGraph) -> RationalMatrix:
     """Shifted Schur complement L_X + (n/m) J, the positive definite reduction target.
 
     Equal to the sum of the rank-|T_j| projections Q over the neighborhoods,
     which the tests resum from projection_Q as an independent route.  The
-    readable Fraction view of the rows of scaled_schur(g); verify_graph,
-    check_reduction, certify_majorization and majorization_report read those
-    integer rows directly.
+    readable Fraction view of the rows of scaled_schur(g), which refuses a
+    disconnected graph; verify_graph, check_reduction, certify_majorization
+    and majorization_report read those integer rows directly.
     """
-    if not is_connected(g):
-        raise DisconnectedGraph("M is only defined for connected graphs")
     den, rows, _ = scaled_schur(g)
     return RationalMatrix([[Fraction(x, den) for x in row] for row in rows])

@@ -23,9 +23,9 @@ from fractions import Fraction
 from math import lcm, sqrt
 from typing import Sequence
 
-from .errors import DisconnectedGraph, IdentityViolation, NonConvergence
-from .graphs import BipartiteGraph, DegreeData, bit_indices, is_connected, write_graph
-from .graphs import degrees  # noqa: F401  (uncalled here; perfbench/spans.py rebinds it)
+from .errors import IdentityViolation, NonConvergence
+from .graphs import BipartiteGraph, DegreeData, bit_indices, write_graph
+from .graphs import degrees, is_connected  # noqa: F401  (uncalled here; perfbench/spans.py rebinds them)
 from .linalg import ScaledRows, leading_minors, rat_str, scaled_schur
 
 FLOAT_TOL = 1e-9
@@ -257,8 +257,9 @@ def certify_majorization(
 ) -> list[int]:
     """Exact certificate that M > 0 and that its spectrum majorizes the X-degrees.
 
-    Works on R = D*M and the degrees a, b, all from scaled_schur(g) (scaled
-    may pass them in; the rows are not modified).  For each prefix I = [k] of
+    Works on R = D*M and the degrees a, b, all from scaled_schur(g), which
+    refuses a disconnected graph (a scaled passed in must come from it; the
+    rows are not modified).  For each prefix I = [k] of
     the degree order, k = 1..m-1, Q_I = P_I + J/m is a rank-k orthogonal
     projection and M is the sum of the Q_(T_j), so
     tr(Q_I M) = sum(a_i, i in I) + the total overlap defect of I.  Times
@@ -277,8 +278,6 @@ def certify_majorization(
     minors, the last being det(D*M); any failure raises IdentityViolation
     with the graph serialized.  No floating point is involved.
     """
-    if not is_connected(g):
-        raise DisconnectedGraph("majorization is stated for connected graphs")
     den, rows, dd = scaled_schur(g) if scaled is None else scaled
     m = g.m
     order, lcm_b, numers = _prefix_defects(g, dd)
@@ -324,9 +323,10 @@ def majorization_report(
     least the total overlap defect of [k] against the neighborhoods, the
     traces must agree, and the smallest eigenvalue must stay positive.  Any
     failure raises with the offending graph serialized, since it would
-    contradict the tree-count bound itself.  scaled, the (D, rows, degrees)
-    triple of scaled_schur(g), may be passed in when already computed; the
-    eigensolver gets the rows divided by D as floats.  Each defect sum is one
+    contradict the tree-count bound itself.  scaled may be passed in when
+    already computed, and must then be the (D, rows, degrees) triple of
+    scaled_schur(g), which refuses a disconnected graph; the eigensolver
+    gets the rows divided by D as floats.  Each defect sum is one
     exact Fraction over k * L, with L the lcm of the neighborhood sizes in
     those degrees, so the lower bound does not depend on the rows passed in.
 
@@ -334,8 +334,6 @@ def majorization_report(
     eigenvalue allow an absolute FLOAT_TOL; the trace gap allows
     FLOAT_TOL * max(1, sum(a)), both for majorizes and for the raise.
     """
-    if not is_connected(g):
-        raise DisconnectedGraph("majorization is stated for connected graphs")
     den, rows, dd = scaled_schur(g) if scaled is None else scaled
     spectrum = eigen_sym([[x / den for x in row] for row in rows])
     order, lcm_b, numers = _prefix_defects(g, dd)

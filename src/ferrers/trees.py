@@ -6,13 +6,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
 
-from .errors import (
-    CapExceeded,
-    DisconnectedGraph,
-    IdentityViolation,
-    IsolatedVertex,
-)
-from .graphs import DEFAULT_CAP, BipartiteGraph, degrees, is_connected
+from .errors import CapExceeded, IdentityViolation, IsolatedVertex
+from .graphs import DEFAULT_CAP, BipartiteGraph, degrees
+from .graphs import is_connected  # noqa: F401  (uncalled here; perfbench/spans.py rebinds it)
 from .linalg import ScaledRows, bareiss_det, laplacian_rows, scaled_schur
 
 SpanningTree = frozenset  # of (x index, y index) edge pairs
@@ -156,18 +152,18 @@ def check_reduction(
 ) -> bool:
     """Exact identity tau * m * n = (prod of y-degrees) * det M.
 
-    tau, scaled (the (D, rows, degrees) triple of scaled_schur(g), which
-    gives b) and det (det of those rows, such as the last leading minor from
-    certify_majorization) may be passed in when already computed.  Otherwise
-    det(D*M) = D^m det M is taken by bareiss_det on a copy of the rows.  The identity is checked as
+    tau, scaled and det (det of those rows, such as the last leading minor
+    from certify_majorization) may be passed in when already computed; a
+    scaled passed in must be the (D, rows, degrees) triple of scaled_schur(g),
+    which gives b.  Otherwise scaled_schur(g) builds it, and refuses a
+    disconnected graph before tau is counted, and det(D*M) = D^m det M is
+    taken by bareiss_det on a copy of the rows.  The identity is checked as
     tau * m * n * D^m = (prod b) * det(D*M) in integers; a mismatch raises
     with both sides shown as rationals.
     """
-    if not is_connected(g):
-        raise DisconnectedGraph("the reduction identity applies to connected graphs")
+    den, rows, dd = scaled_schur(g) if scaled is None else scaled
     if tau is None:
         tau = tau_matrix_tree(g)
-    den, rows, dd = scaled_schur(g) if scaled is None else scaled
     scale = den**g.m
     left = tau * g.m * g.n * scale
     if det is None:

@@ -18,12 +18,7 @@ from functools import partial
 from math import prod
 from typing import Callable, Iterable, Sequence
 
-from .errors import (
-    CapExceeded,
-    DisconnectedGraph,
-    IdentityViolation,
-    TheoremViolation,
-)
+from .errors import CapExceeded, IdentityViolation, TheoremViolation
 from .graphs import (
     DEFAULT_CAP,
     BipartiteGraph,
@@ -32,7 +27,7 @@ from .graphs import (
     degrees,  # noqa: F401  (uncalled here; perfbench/spans.py rebinds it)
     ferrers_from_partition,
     graph_from_mask,
-    is_connected,
+    is_connected,  # noqa: F401  (uncalled here; perfbench/spans.py rebinds it)
     is_ferrers,
     write_graph,
 )
@@ -95,16 +90,16 @@ def verify_graph(
     on the integer rows of D*M built once by scaled_schur, and land in their
     boolean fields; no eigenvalue is computed.  The certificate's no-swap
     elimination gives det(D*M) to the reduction, which takes the determinant
-    with row swaps itself when the certificate fails.  tau and scaled, the
-    (D, rows, degrees) triple of scaled_schur(g), may be passed in when
-    already computed; the checks read the degrees from scaled.
+    with row swaps itself when the certificate fails.  tau and scaled may be
+    passed in when already computed; a scaled passed in must be the
+    (D, rows, degrees) triple of scaled_schur(g), and the checks read the
+    degrees from it.  scaled_schur refuses a disconnected graph with
+    DisconnectedGraph, before any tree count is taken.
     """
-    if not is_connected(g):
-        raise DisconnectedGraph("verification needs a connected graph")
-    if tau is None:
-        tau = tau_matrix_tree(g)
     if scaled is None:
         scaled = scaled_schur(g)
+    if tau is None:
+        tau = tau_matrix_tree(g)
     try:
         det = certify_majorization(g, scaled=scaled)[-1]
         majorizes = True

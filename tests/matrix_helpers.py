@@ -2,14 +2,16 @@
 
 The package builds its matrices from graphs; these plain functions give the
 tests the zero and identity matrices, principal submatrices, the adjugate
-and matrix-vector products of a RationalMatrix, and the reference route of
-the deletion oracle on integer rows.
+and matrix-vector products of a RationalMatrix, the Schur complement L_X
+built from the Laplacian alone, and the reference route of the deletion
+oracle on integer rows.
 """
 
 from fractions import Fraction
 
-from ferrers.errors import DimensionError, IdentityViolation
-from ferrers.linalg import RationalMatrix, bareiss_det
+from ferrers.errors import DimensionError, IdentityViolation, IsolatedVertex
+from ferrers.graphs import BipartiteGraph
+from ferrers.linalg import RationalMatrix, bareiss_det, laplacian_rows
 
 
 def zeros(dim: int) -> RationalMatrix:
@@ -53,6 +55,30 @@ def adjugate(mat: RationalMatrix) -> RationalMatrix:
     d = mat.dim
     return RationalMatrix(
         [[(-1) ** (i + j) * minor(mat, j, i).det_exact() for j in range(d)] for i in range(d)]
+    )
+
+
+def schur_LX(g: BipartiteGraph) -> RationalMatrix:
+    """Schur complement L_X = A - B C^(-1) B^T of the Laplacian onto the X block.
+
+    A, B and C = diag(b) are read off laplacian_rows(g), so this shares no
+    code with scaled_schur or degrees and is an independent reference for
+    the rows of D*M.  A zero b_j makes C singular and raises IsolatedVertex;
+    a disconnected graph with every b_j > 0 is accepted.
+    """
+    m = g.m
+    lap = laplacian_rows(g)
+    b = [lap[y][y] for y in range(m, m + g.n)]
+    if 0 in b:
+        raise IsolatedVertex("a y-vertex has degree zero, so the C block is singular")
+    return RationalMatrix(
+        [
+            [
+                lap[i][k] - sum(Fraction(lap[i][y] * lap[k][y], bj) for y, bj in enumerate(b, m))
+                for k in range(m)
+            ]
+            for i in range(m)
+        ]
     )
 
 

@@ -335,9 +335,11 @@ class TestErrorPaths:
         assert main(["corollary"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_disconnected_graph_for_spectrum(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("verb", ["spectrum", "check"])
+    def test_disconnected_graph_is_input_error(self, monkeypatch, capsys, verb):
+        # scaled_schur refuses it with DisconnectedGraph for both verbs.
         feed(monkeypatch, "2 2\n0\n1\n")
-        assert main(["spectrum"]) == 2
+        assert main([verb]) == 2
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(

@@ -10,7 +10,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ferrers.errors import DimensionError, DisconnectedGraph, IsolatedVertex
-from ferrers.graphs import DEFAULT_CAP, BipartiteGraph, DegreeData, degrees, is_connected
+from ferrers.graphs import (
+    DEFAULT_CAP,
+    BipartiteGraph,
+    DegreeData,
+    degrees,
+    enumerate_connected,
+    is_connected,
+)
 from ferrers.linalg import (
     RationalMatrix,
     bareiss_det,
@@ -21,10 +28,9 @@ from ferrers.linalg import (
     projection_Q,
     rat_str,
     scaled_schur,
-    schur_LX,
 )
 from ferrers.verify import verify_pairs
-from matrix_helpers import adjugate, delete_row_col, identity, mul_vec, zeros
+from matrix_helpers import adjugate, delete_row_col, identity, mul_vec, schur_LX, zeros
 
 HEX = BipartiteGraph(3, 3, (0b011, 0b110, 0b101))
 K22 = BipartiteGraph(2, 2, (0b11, 0b11))
@@ -284,6 +290,20 @@ class TestSchurComplement:
         with pytest.raises(IsolatedVertex):
             schur_LX(BipartiteGraph(2, 2, (0b11, 0)))
 
+    def test_scaled_rows_match_the_laplacian_route(self):
+        # (rows - D*n/m) / D from scaled_schur is L_X, here built from the
+        # Laplacian blocks alone, on every connected labeled graph m*n <= 12.
+        checked = 0
+        for m in range(1, 13):
+            for n in range(1, 12 // m + 1):
+                for g in enumerate_connected(m, n):
+                    den, rows, _ = scaled_schur(g)
+                    base = den * n // m
+                    lx = RationalMatrix([[Fraction(x - base, den) for x in row] for row in rows])
+                    assert lx == schur_LX(g)
+                    checked += 1
+        assert checked == 5743
+
     @given(st.data())
     def test_determinant_identity_with_full_laplacian(self, data):
         # det of a Laplacian minor factors through the reduced matrix:
@@ -318,8 +338,11 @@ class TestMatrixM:
         assert matrix_M(HEX).det_exact() == Fraction(27, 4)
 
     def test_disconnected_rejected(self):
-        with pytest.raises(DisconnectedGraph):
-            matrix_M(BipartiteGraph(2, 2, (0b01, 0b10)))
+        # scaled_schur is the one guard; an isolated y leaves g disconnected.
+        for build in (matrix_M, scaled_schur):
+            for g in (BipartiteGraph(2, 2, (0b01, 0b10)), BipartiteGraph(2, 2, (0b11, 0))):
+                with pytest.raises(DisconnectedGraph):
+                    build(g)
 
     def test_corrupted_degrees_fail_the_downstream_checks(self, monkeypatch):
         # The build of D*M has no check of its own: one x-degree off by one

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -149,9 +150,11 @@ class TestVerifyGraph:
 
 class TestSharedDataCounts:
     """Per graph, the degrees are counted twice: in scaled_schur, which hands
-    them to the checks on D*M, and in ferrers_invariant for F.  A staircase's
-    flag diagonalization counts them once, in scaled_schur.  The names
-    wrapped are the ones perfbench/spans.py rebinds."""
+    them to the checks on D*M, and in ferrers_invariant for F.  Connectivity
+    is checked once, by the guard in scaled_schur, also on an oracled graph.
+    A staircase's flag diagonalization counts the degrees once and checks
+    connectivity once, both in scaled_schur.  The names wrapped are the ones
+    perfbench/spans.py rebinds."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -177,17 +180,17 @@ class TestSharedDataCounts:
         for g in checked:
             calls.update(degrees=0, is_connected=0)
             assert verify_graph(g).reduction_ok
-            assert calls == {"degrees": 2, "is_connected": 3}
+            assert calls == {"degrees": 2, "is_connected": 1}
 
     def test_oracled_graph(self, calls):
-        # The Jacobi report adds one connectivity guard and no degree count.
+        # The Jacobi report reads the same rows: no guard and no degree count.
         rec, bad, used_oracle = _examine(HEX, 14)
         assert used_oracle and bad == []
-        assert calls == {"degrees": 2, "is_connected": 4}
+        assert calls == {"degrees": 2, "is_connected": 1}
 
     def test_flag_diagonalization(self, calls):
         assert equality_flag_diagonalization(PartitionSpec((5, 3, 3, 2, 1)))
-        assert calls == {"degrees": 1, "is_connected": 0}
+        assert calls == {"degrees": 1, "is_connected": 1}
 
 
 class TestCampaigns:
@@ -536,3 +539,158 @@ class TestFlagDiagonalization:
         monkeypatch.setattr(f"ferrers.verify.{name}", fake)
         with pytest.raises(IdentityViolation, match=message):
             equality_flag_diagonalization(PartitionSpec((3, 2, 1)))
+
+
+def _laplacian_with(edit):
+    """laplacian_rows with edit(g, rows) applied to the rows it returns."""
+
+    def fake(g):
+        rows = linalg.laplacian_rows(g)
+        edit(g, rows)
+        return rows
+
+    return fake
+
+
+def _last_edge(g):
+    # laplacian_rows places y_(n-1) last, and its highest x-neighbor last of those.
+    return g.nbrs[-1].bit_length() - 1, g.m + g.n - 1
+
+
+def _raise_x0_diagonal(g, rows):
+    rows[0][0] += 1
+
+
+def _drop_last_edge(g, rows):
+    i, y = _last_edge(g)
+    rows[i][y] = rows[y][i] = 0
+    rows[i][i] -= 1
+    rows[y][y] -= 1
+
+
+def _drop_last_pair(g, rows):
+    i, y = _last_edge(g)
+    rows[i][y] = rows[y][i] = 0
+
+
+def _det_plus_one_above_4(rows):
+    return linalg.bareiss_det(rows) + (len(rows) > 4)
+
+
+def _det_without_sign(rows):
+    return abs(linalg.bareiss_det(rows))
+
+
+def _schur_without_diagonal_term(g):
+    den, rows, dd = linalg.scaled_schur(g)
+    for t, bj in zip(g.nbrs, dd.b):
+        for i in graphs.bit_indices(t):
+            rows[i][i] += den // bj
+    return den, rows, dd
+
+
+def _asymmetric_schur(g):
+    den, rows, dd = linalg.scaled_schur(g)
+    if g.m > 1:
+        rows[0][1] += 1
+    return den, rows, dd
+
+
+def _a0_plus_one(g):
+    dd = graphs.degrees(g)
+    return DegreeData((dd.a[0] + 1,) + dd.a[1:], dd.b)
+
+
+def _minors_without_division(rows):
+    # linalg.leading_minors with the exact division by the previous pivot left out.
+    d = len(rows)
+    minors = []
+    for k in range(d):
+        rk = rows[k]
+        pivot = rk[k]
+        minors.append(pivot)
+        if pivot == 0:
+            break
+        for i in range(k + 1, d):
+            ri = rows[i]
+            rik = ri[k]
+            for j in range(k + 1, d):
+                ri[j] = ri[j] * pivot - rik * rk[j]
+    return minors
+
+
+_D_M_READERS = ("verify", "trees", "spectral")
+_FIRST_2_BY_1 = write_graph(BipartiteGraph(2, 1, (0b11,)))
+
+
+class TestFaultMatrix:
+    """One small bug in one layer, injected by rebinding its name in every
+    module that imports it.  A tally campaign over every pair with m, n <= 3
+    (253 connected graphs, all oracled at 14 edges) pins the graphs each
+    category catches; the asymmetric rows instead end the campaign with the
+    eigensolver's ValueError, which names the first graph with m >= 2.
+
+    ROADMAP item 6 has the same table over m, n <= 4 and m*n <= 12, where
+    every row fires the same categories.  bareiss_det + 1 above dimension 4
+    reaches only the deletion oracle's generic minor of size m+n-1: the tree
+    count runs Bareiss on the n x n Y block, and the reduction reads det(D*M)
+    from leading_minors.
+    """
+
+    @pytest.mark.parametrize(
+        "modules,name,fake,fired",
+        [
+            pytest.param(
+                ("trees",), "laplacian_rows", _laplacian_with(_raise_x0_diagonal),
+                {"deletion": 253}, id="laplacian-diagonal-x0",
+            ),
+            pytest.param(
+                ("trees",), "laplacian_rows", _laplacian_with(_drop_last_edge),
+                {"reduction": 253, "oracle": 253, "equality": 109}, id="laplacian-drops-edge",
+            ),
+            pytest.param(
+                ("trees",), "laplacian_rows", _laplacian_with(_drop_last_pair),
+                {"deletion": 253, "reduction": 224, "oracle": 224, "inequality": 224,
+                 "equality": 94},
+                id="laplacian-drops-pair",
+            ),
+            pytest.param(
+                ("trees", "verify"), "bareiss_det", _det_plus_one_above_4,
+                {"deletion": 205}, id="det-plus-one-above-4",
+            ),
+            pytest.param(
+                _D_M_READERS, "scaled_schur", _schur_without_diagonal_term,
+                {"reduction": 253, "majorization": 253, "spectrum": 253},
+                id="schur-without-diagonal-term",
+            ),
+            pytest.param(
+                ("verify", "linalg", "trees", "spectral"), "degrees", _a0_plus_one,
+                {"reduction": 253, "majorization": 250, "spectrum": 214, "equality": 109},
+                id="degrees-a0-plus-one",
+            ),
+            pytest.param(
+                ("spectral",), "leading_minors", _minors_without_division,
+                {"reduction": 225}, id="minors-without-division",
+            ),
+            pytest.param(
+                ("trees", "verify"), "bareiss_det", _det_without_sign, {},
+                id="det-without-sign",
+            ),
+            pytest.param(
+                _D_M_READERS, "scaled_schur", _asymmetric_schur,
+                f"matrix is not symmetric at (0,1) for:\n{_FIRST_2_BY_1}",
+                id="asymmetric-rows",
+            ),
+        ],
+    )
+    def test_categories_that_fire(self, monkeypatch, modules, name, fake, fired):
+        for module in modules:
+            monkeypatch.setattr(f"ferrers.{module}.{name}", fake)
+        pairs = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
+        if isinstance(fired, str):
+            with pytest.raises(ValueError, match=re.escape(fired)):
+                verify_pairs(pairs, oracle_edge_cap=14, fail_fast=False)
+            return
+        s = verify_pairs(pairs, oracle_edge_cap=14, fail_fast=False)
+        assert s.graphs_checked == s.oracle_checked == 253
+        assert s.failure_counts == fired
