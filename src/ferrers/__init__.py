@@ -60,7 +60,6 @@ from .spectral import (
     report_dict,
 )
 from .trees import (
-    SpanningTree,
     check_reduction,
     ferrers_invariant,
     tau_brute_force,
@@ -75,7 +74,6 @@ from .verify import (
     summary_dict,
     verify_graph,
     verify_pairs,
-    verify_range,
 )
 
 __version__ = "0.1.0"
@@ -95,7 +93,6 @@ __all__ = [
     "NonConvergence",
     "PartitionSpec",
     "RationalMatrix",
-    "SpanningTree",
     "SpectralReport",
     "Spectrum",
     "TheoremViolation",
@@ -134,6 +131,5 @@ __all__ = [
     "tau_matrix_tree",
     "verify_graph",
     "verify_pairs",
-    "verify_range",
     "write_graph",
 ]

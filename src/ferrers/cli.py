@@ -6,8 +6,10 @@ Every verb honors --format json|csv|plain.  check and verify decide every
 verdict exactly; only spectrum compares floats, at the fixed
 spectral.FLOAT_TOL, so no verb takes a tolerance.  overlap refuses m above
 the default cap as an input bound, so that no index can make 1 << index
-large; its identity check is integer work.  Each verb passes exact values
-as p/q strings.  Exit codes: 0 on success, 1 when a theorem check fails (a
+large; its identity check is integer work.  Only enumerate and verify take
+--cap, a bound on m*n; corollary checks a graph of any size, because its
+tree sum is one integer cofactor and no tree is listed.  Each verb passes
+exact values as p/q strings.  Exit codes: 0 on success, 1 when a theorem check fails (a
 counterexample to the bound or a failed cross-check), 2 on bad input.
 """
 
@@ -37,7 +39,7 @@ from .verify import (
     record_dict,
     summary_dict,
     verify_graph,
-    verify_range,
+    verify_pairs,
 )
 
 
@@ -153,13 +155,8 @@ def _cmd_verify(args) -> int:
         def stream(rec):
             print(json.dumps(rec))
 
-    summary = verify_range(
-        args.m_max,
-        args.n_max,
-        cap=args.cap,
-        workers=args.workers,
-        emit=stream,
-    )
+    pairs = [(m, n) for m in range(1, args.m_max + 1) for n in range(1, args.n_max + 1)]
+    summary = verify_pairs(pairs, cap=args.cap, workers=args.workers, emit=stream)
     emit(summary_dict(summary), args.format)
     return 0
 
@@ -175,7 +172,7 @@ def _cmd_corollary(args) -> int:
     except ZeroDivisionError as exc:  # "1/0" is bad input, not a failed check
         raise ValueError(f"weight with a zero denominator in {lines[-1].strip()!r}") from exc
     g = parse_graph("\n".join(lines[:-1]) + "\n")
-    ok = corollary_check(g, weights, cap=args.cap)
+    ok = corollary_check(g, weights)
     emit({"ok": ok}, args.format)
     return 0
 
@@ -187,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "csv", "plain"), default="json", help="output format"
     )
     cap.add_argument(
-        "--cap", type=int, default=DEFAULT_CAP, help="enumeration / brute-force cap"
+        "--cap", type=int, default=DEFAULT_CAP, help="enumeration cap on m*n"
     )
 
     graph_in = argparse.ArgumentParser(add_help=False)
@@ -252,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "corollary",
-        parents=[fmt, cap, graph_in],
+        parents=[fmt, graph_in],
         help="weighted bound at the weights on the last input line",
     ).set_defaults(handler=_cmd_corollary)
 

@@ -11,8 +11,6 @@ from .graphs import DEFAULT_CAP, BipartiteGraph, degrees
 from .graphs import is_connected  # noqa: F401  (uncalled here; perfbench/spans.py rebinds it)
 from .linalg import ScaledRows, bareiss_det, laplacian_rows, scaled_schur
 
-SpanningTree = frozenset  # of (x index, y index) edge pairs
-
 
 def _minor_det_at_x0(lap: list[list[int]], m: int) -> int:
     """Determinant of the Laplacian minor at x_0, its X block eliminated in closed form.
@@ -95,44 +93,36 @@ def tau_matrix_tree(g: BipartiteGraph, *, check_all_deletions: bool = False) -> 
     return t
 
 
-def tau_brute_force(
-    g: BipartiteGraph, *, cap: int = DEFAULT_CAP
-) -> tuple[int, list[SpanningTree]]:
-    """Enumerate spanning trees directly, as a determinant-free oracle.
+def tau_brute_force(g: BipartiteGraph, *, cap: int = DEFAULT_CAP) -> int:
+    """Count spanning trees directly, as a determinant-free oracle.
 
     Tries every (m+n-1)-subset of the edge set; a subset is a spanning tree
     exactly when the union-find pass finds no cycle, because an acyclic
-    graph with m+n-1 edges on m+n vertices is already spanning.  Refuses
-    edge sets above the cap.
+    graph with m+n-1 edges on m+n vertices is already spanning.  Only the
+    count is kept.  Refuses edge sets above the cap.
     """
     edge_list = g.edges()
     if len(edge_list) > cap:
         raise CapExceeded(f"|E| = {len(edge_list)} exceeds the brute-force cap {cap}")
     v = g.m + g.n
-    need = v - 1
-    trees: list[SpanningTree] = []
-    if len(edge_list) >= need:
-        pairs = [(i, g.m + j) for (i, j) in edge_list]
-        idx_range = range(len(edge_list))
-        base = list(range(v))
-        for combo in combinations(idx_range, need):
-            parent = base[:]
-            ok = True
-            for idx in combo:
-                u, w = pairs[idx]
-                while parent[u] != u:
-                    parent[u] = parent[parent[u]]
-                    u = parent[u]
-                while parent[w] != w:
-                    parent[w] = parent[parent[w]]
-                    w = parent[w]
-                if u == w:
-                    ok = False
-                    break
-                parent[u] = w
-            if ok:
-                trees.append(frozenset(edge_list[idx] for idx in combo))
-    return len(trees), trees
+    count = 0
+    pairs = [(i, g.m + j) for (i, j) in edge_list]
+    base = list(range(v))
+    for combo in combinations(pairs, v - 1):
+        parent = base[:]
+        for u, w in combo:
+            while parent[u] != u:
+                parent[u] = parent[parent[u]]
+                u = parent[u]
+            while parent[w] != w:
+                parent[w] = parent[parent[w]]
+                w = parent[w]
+            if u == w:
+                break
+            parent[u] = w
+        else:
+            count += 1
+    return count
 
 
 def ferrers_invariant(g: BipartiteGraph) -> Fraction:

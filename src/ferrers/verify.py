@@ -1,9 +1,9 @@
 """Desk-scale verification campaigns for the tree-count bound.
 
 verify_graph checks a single connected graph with exact arithmetic;
-verify_pairs and verify_range run exhaustive labeled enumerations, abort on
-the first violation (or tally them all), and can split mask ranges across
-worker processes.  A violation here would be a counterexample, so the
+verify_pairs runs exhaustive labeled enumerations, aborts on the first
+violation (or tallies them all), and can split mask ranges across worker
+processes.  A violation here would be a counterexample, so the
 offending graph is always serialized into the error.
 """
 
@@ -15,7 +15,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import prod
+from math import lcm, prod
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapExceeded, IdentityViolation, TheoremViolation
@@ -31,7 +31,7 @@ from .graphs import (
     is_ferrers,
     write_graph,
 )
-from .linalg import ScaledRows, bareiss_det, rat_str, scaled_schur
+from .linalg import ScaledRows, bareiss_det, laplacian_rows, rat_str, scaled_schur
 from .linalg import matrix_M  # noqa: F401  (uncalled here; perfbench/spans.py rebinds it)
 from .spectral import certify_majorization, majorization_report
 from .trees import check_reduction, ferrers_invariant, tau_brute_force, tau_matrix_tree
@@ -201,8 +201,7 @@ def _examine(
     bad = rec.failures
     if tau is None:
         bad.append("deletion")
-    brute, _ = tau_brute_force(g, cap=oracle_edge_cap)
-    if brute != rec.tau:
+    if tau_brute_force(g, cap=oracle_edge_cap) != rec.tau:
         bad.append("oracle")
     try:
         majorization_report(g, scaled=scaled)
@@ -305,73 +304,60 @@ def verify_pairs(
     return summary
 
 
-def verify_range(
-    m_max: int,
-    n_max: int,
-    *,
-    cap: int = DEFAULT_CAP,
-    workers: int | None = None,
-    emit: Callable[[dict], None] | None = None,
-) -> CampaignSummary:
-    """Verify every connected labeled graph with 1 <= m <= m_max, 1 <= n <= n_max.
+def _corollary_sides(g: BipartiteGraph, weights: list[Fraction]) -> tuple[int, int, int]:
+    """Integers (left, right, scale): the corollary's two sides are left/scale and right/scale.
 
-    Fail-fast: the first graph that fails any check aborts the campaign with
-    the graph inside the TheoremViolation, so a returned summary always has
-    violations == 0 and equal equality and staircase counts.
+    The weights become integers w = D*z, D the lcm of their denominators.
+    K minus row r and column r, at the first r with w_r > 0, has determinant
+    w_r times the tree sum at w; with every weight 0 both sides are 0.
     """
-    if m_max < 1 or n_max < 1:
-        raise ValueError(f"bad range ({m_max}, {n_max})")
-    pairs = [(m, n) for m in range(1, m_max + 1) for n in range(1, n_max + 1)]
-    return verify_pairs(
-        pairs,
-        cap=cap,
-        workers=workers,
-        fail_fast=True,
-        emit=emit,
-    )
+    den = lcm(*(x.denominator for x in weights))
+    w = [x.numerator * (den // x.denominator) for x in weights]
+    r = next((v for v, x in enumerate(w) if x), None)
+    if r is None:
+        return 0, 0, 1
+    rows = [
+        [0 if u == v else x * w[v] for v, x in enumerate(row)]
+        for u, row in enumerate(laplacian_rows(g))
+    ]
+    for u, row in enumerate(rows):
+        row[u] = -sum(row)  # s_u, the sum of w over the neighbors of u
+    right = w[r] * prod(row[u] for u, row in enumerate(rows))
+    minor = bareiss_det([row[:r] + row[r + 1 :] for u, row in enumerate(rows) if u != r])
+    left = minor * sum(w[: g.m]) * sum(w[g.m :])
+    return left, right, w[r] * den ** len(w)
 
 
-def corollary_check(
-    g: BipartiteGraph,
-    z: Sequence[Fraction | int],
-    *,
-    cap: int = DEFAULT_CAP,
-) -> bool:
+def corollary_check(g: BipartiteGraph, z: Sequence[Fraction | int]) -> bool:
     """Weighted form of the bound, checked exactly at one nonnegative weight vector.
 
     With weights z indexed by X then Y, the generating sum over spanning
     trees of prod_v z_v^(deg_T(v) - 1), times (sum over X)(sum over Y), must
-    not exceed prod_v (sum of z over the neighbors of v).  The tree list
-    comes from the brute-force enumerator, so the edge cap applies.  At
-    z = 1 this is exactly the tau*m*n <= degree-product comparison.
+    not exceed prod_v (sum of z over the neighbors of v).  At z = 1 this is
+    exactly the tau*m*n <= degree-product comparison; K_{m,n} attains
+    equality at every z.
+
+    No tree is listed.  Let K = diag(s) - A diag(z), with A the adjacency
+    matrix and s_v the sum of z over the neighbors of v.  Every row of K
+    sums to 0 and z^T K = 0, so the cofactor at (r, c) is alpha * z_r for
+    one alpha.  At z > 0, diag(z) K is the Laplacian with edge weights
+    z_u z_v, and Kirchhoff's theorem (Biggs, Algebraic Graph Theory, 1974)
+    makes alpha the tree sum above.  The cofactor at (r, r) and z_r times
+    the tree sum are polynomials in z that agree at z > 0, so they agree at
+    zero weights too.  Each side of the bound is
+    homogeneous of degree m+n in z, so scaling z to integers does not
+    change the verdict; _corollary_sides compares the sides in integers
+    with one bareiss_det minor.
     """
     weights = [Fraction(x) for x in z]
     if len(weights) != g.m + g.n:
         raise ValueError(f"expected {g.m + g.n} weights, got {len(weights)}")
     if any(w < 0 for w in weights):
         raise ValueError("weights must be nonnegative")
-    _, trees = tau_brute_force(g, cap=cap)
-    xw = weights[: g.m]
-    yw = weights[g.m :]
-    tree_sum = Fraction(0)
-    for tree in trees:
-        deg = [0] * (g.m + g.n)
-        for i, j in tree:
-            deg[i] += 1
-            deg[g.m + j] += 1
-        term = Fraction(1)
-        for w, d in zip(weights, deg):
-            term *= w ** (d - 1)
-        tree_sum += term
-    lhs = tree_sum * sum(xw) * sum(yw)
-    rhs = Fraction(1)
-    for i in range(g.m):
-        rhs *= sum(yw[j] for j, t in enumerate(g.nbrs) if (t >> i) & 1)
-    for t in g.nbrs:
-        rhs *= sum(xw[i] for i in range(g.m) if (t >> i) & 1)
-    if lhs > rhs:
+    left, right, scale = _corollary_sides(g, weights)
+    if left > right:
         raise TheoremViolation(
-            f"weighted bound fails: {lhs} > {rhs} at z = "
+            f"weighted bound fails: {Fraction(left, scale)} > {Fraction(right, scale)} at z = "
             f"{[rat_str(w) for w in weights]} for:\n{write_graph(g)}"
         )
     return True

@@ -40,8 +40,7 @@ def _deletion_disagrees(g, *, check_all_deletions=False):
 
 
 def _brute_force_plus_one(g, *, cap=DEFAULT_CAP):
-    count, found = trees.tau_brute_force(g, cap=cap)
-    return count + 1, found
+    return trees.tau_brute_force(g, cap=cap) + 1
 
 
 CORRUPTIONS = {

@@ -3,14 +3,18 @@
 The package builds its matrices from graphs; these plain functions give the
 tests the zero and identity matrices, principal submatrices, the adjugate
 and matrix-vector products of a RationalMatrix, the Schur complement L_X
-built from the Laplacian alone, and the reference route of the deletion
-oracle on integer rows.
+built from the Laplacian alone, the reference route of the deletion
+oracle on integer rows, and the spanning-tree list behind the reference
+route of the weighted corollary.
 """
 
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 from ferrers.errors import DimensionError, IdentityViolation, IsolatedVertex
-from ferrers.graphs import BipartiteGraph
+from ferrers.graphs import BipartiteGraph, is_connected
 from ferrers.linalg import RationalMatrix, bareiss_det, laplacian_rows
 
 
@@ -99,3 +103,50 @@ def every_deletion_minor(lap: list[list[int]], t: int) -> int:
                 f"{t} at 0 vs {other} at {drop}"
             )
     return t
+
+
+def spanning_trees(g: BipartiteGraph) -> list[frozenset]:
+    """Every spanning tree of g as a frozenset of (x index, y index) edges.
+
+    Keeps each (m+n-1)-edge subset whose graph is connected, which with
+    m+n-1 edges on m+n vertices makes it a tree.  It shares no code with
+    the union-find of tau_brute_force.
+    """
+    trees = []
+    for combo in combinations(g.edges(), g.m + g.n - 1):
+        nbrs = [0] * g.n
+        for i, j in combo:
+            nbrs[j] |= 1 << i
+        if is_connected(BipartiteGraph(g.m, g.n, tuple(nbrs))):
+            trees.append(frozenset(combo))
+    return trees
+
+
+def corollary_sides(g: BipartiteGraph, z) -> tuple[Fraction, Fraction]:
+    """Reference sides of the weighted corollary, summed over the listed trees.
+
+    Left: (sum over trees of prod_v z_v^(deg_T(v) - 1)) * (sum over X) *
+    (sum over Y).  Right: prod_v (sum of z over the neighbors of v).  Trees
+    with the same degree sequence have the same term, so each term is
+    taken once and counted.
+    """
+    weights = [Fraction(x) for x in z]
+    xw, yw = weights[: g.m], weights[g.m :]
+    shapes = Counter()
+    for tree in spanning_trees(g):
+        deg = [0] * (g.m + g.n)
+        for i, j in tree:
+            deg[i] += 1
+            deg[g.m + j] += 1
+        shapes[tuple(deg)] += 1
+    tree_sum = Fraction(0)
+    for deg, count in shapes.items():
+        num = prod(w.numerator ** (d - 1) for w, d in zip(weights, deg))
+        den = prod(w.denominator ** (d - 1) for w, d in zip(weights, deg))
+        tree_sum += Fraction(count * num, den)
+    rhs = Fraction(1)
+    for i in range(g.m):
+        rhs *= sum(yw[j] for j, t in enumerate(g.nbrs) if (t >> i) & 1)
+    for t in g.nbrs:
+        rhs *= sum(xw[i] for i in range(g.m) if (t >> i) & 1)
+    return tree_sum * sum(xw) * sum(yw), rhs

@@ -36,7 +36,12 @@ from ferrers.spectral import (
     overlap_trace,
 )
 from ferrers.trees import ferrers_invariant, tau_matrix_tree
-from ferrers.verify import corollary_check, equality_flag_diagonalization, verify_pairs
+from ferrers.verify import (
+    _corollary_sides,
+    corollary_check,
+    equality_flag_diagonalization,
+    verify_pairs,
+)
 from matrix_helpers import mul_vec, zeros
 
 BASE_SEED = 20260817
@@ -246,25 +251,36 @@ def test_criterion_9_weighted_corollary():
         )
         if is_connected(g):
             graphs.append(g)
+    def draw(v):
+        return [
+            Fraction(0)
+            if rng.random() < 0.15
+            else Fraction(rng.randint(1, 24), rng.randint(1, 9))
+            for _ in range(v)
+        ]
+
     weighted = 0
     for g in graphs:
         v = g.m + g.n
         for _ in range(5):
-            z = [
-                Fraction(0)
-                if rng.random() < 0.15
-                else Fraction(rng.randint(1, 24), rng.randint(1, 9))
-                for _ in range(v)
-            ]
-            assert corollary_check(g, z, cap=12)
+            z = draw(v)
+            assert corollary_check(g, z)
             weighted += 1
         # z = 1 collapses to the plain bound; check the two sides agree
-        assert corollary_check(g, [1] * v, cap=12)
+        assert corollary_check(g, [1] * v)
         dd = degrees(g)
         assert tau_matrix_tree(g) * g.m * g.n <= prod(dd.a) * prod(dd.b)
+    # K_{m,n} attains equality at every weight vector, far above any brute-force cap.
+    equal = 0
+    for m, n in ((6, 8), (8, 10)):
+        g = BipartiteGraph(m, n, ((1 << m) - 1,) * n)
+        z = draw(m + n)
+        left, right, _ = _corollary_sides(g, z)
+        equal += corollary_check(g, z) and left == right
     _criterion(
         9,
-        weighted == 1000,
+        weighted == 1000 and equal == 2,
         f"{weighted} weight vectors over 200 random connected graphs with "
-        f"m*n <= 12, exact, plus the unit-weight reduction",
+        f"m*n <= 12, exact, plus the unit-weight reduction; {equal} of 2 "
+        f"weighted K_m,n at (6,8) and (8,10) at equality, exact",
     )

@@ -282,6 +282,11 @@ class TestVerify:
     def test_cap_exceeded(self, capsys):
         assert main(["verify", "5", "5"]) == 2
 
+    @pytest.mark.parametrize("argv", [["0", "3"], ["3", "0"]])
+    def test_empty_range_is_input_error(self, argv, capsys):
+        assert main(["verify", *argv]) == 2
+        assert "no (m, n) pairs to verify" in capsys.readouterr().err
+
 
 class TestCorollaryVerb:
     def test_unit_weights(self, tmp_path, capsys):
@@ -297,6 +302,12 @@ class TestCorollaryVerb:
 
     def test_biadj_graph_section(self, monkeypatch, capsys):
         feed(monkeypatch, "11\n11\n1 1 1 1\n")
+        assert main(["corollary"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"ok": True}
+
+    def test_no_edge_cap(self, monkeypatch, capsys):
+        # K_{5,5} has 25 edges; no tree is listed, so no cap applies.
+        feed(monkeypatch, "5 5\n" + "0 1 2 3 4\n" * 5 + "1 0 2 1/3 1 1 1 4 1 1\n")
         assert main(["corollary"]) == 0
         assert json.loads(capsys.readouterr().out) == {"ok": True}
 
@@ -357,8 +368,13 @@ class TestErrorPaths:
             ["spectrum", "HEX", "--tol", "1e-6"],
             ["verify", "1", "1", "--tol", "1e-6"],
             ["tau", "HEX", "--biadj"],
+            ["corollary", "WHEX", "--cap", "4"],
         ],
     )
-    def test_flag_of_another_verb_rejected(self, argv, hexfile):
+    def test_flag_of_another_verb_rejected(self, argv, hexfile, tmp_path):
         # Each command succeeds without its last flag, which that verb does not take.
-        assert main([hexfile if a == "HEX" else a for a in argv]) == 2
+        # WHEX is the hexagon followed by a line of weights, as corollary reads it.
+        weighted = tmp_path / "weighted.txt"
+        weighted.write_text(HEX_TEXT + "1 1 1 1 1 1\n")
+        files = {"HEX": hexfile, "WHEX": str(weighted)}
+        assert main([files.get(a, a) for a in argv]) == 2

@@ -33,6 +33,7 @@ from ferrers.linalg import RationalMatrix
 from ferrers.spectral import majorization_report
 from ferrers.verify import (
     _CHUNK_MASKS,
+    _corollary_sides,
     _examine,
     corollary_check,
     equality_flag_diagonalization,
@@ -40,13 +41,17 @@ from ferrers.verify import (
     summary_dict,
     verify_graph,
     verify_pairs,
-    verify_range,
 )
+from matrix_helpers import corollary_sides
 
 HEX = BipartiteGraph(3, 3, (0b011, 0b110, 0b101))
 K22 = BipartiteGraph(2, 2, (0b11, 0b11))
 K23 = BipartiteGraph(2, 3, (0b11, 0b11, 0b11))
 STAIR = ferrers_from_partition(PartitionSpec((3, 2, 1)))
+
+
+def complete(m, n):
+    return BipartiteGraph(m, n, ((1 << m) - 1,) * n)
 
 
 def oracle_connected_count(m, n):
@@ -195,14 +200,14 @@ class TestSharedDataCounts:
 
 class TestCampaigns:
     def test_smallest_range(self):
-        s = verify_range(1, 1)
+        s = verify_pairs([(1, 1)])
         assert s.dims == (1, 1)
         assert s.graphs_checked == 1
         assert s.violations == 0
         assert s.equality_cases == s.ferrers_count == 1
 
     def test_two_by_two_rectangle(self):
-        s = verify_range(2, 2)
+        s = verify_pairs([(1, 1), (1, 2), (2, 1), (2, 2)])
         # 1 + 1 + 1 + 5 connected labeled graphs across the four pairs.
         assert s.graphs_checked == 8
         assert s.equality_cases == s.ferrers_count == 8
@@ -210,7 +215,7 @@ class TestCampaigns:
         assert s.wall_time >= 0.0
 
     def test_count_matches_independent_oracle(self):
-        s = verify_range(3, 3)
+        s = verify_pairs([(m, n) for m in (1, 2, 3) for n in (1, 2, 3)])
         want = sum(oracle_connected_count(m, n) for m in (1, 2, 3) for n in (1, 2, 3))
         assert s.graphs_checked == want
         assert s.violations == 0
@@ -428,7 +433,7 @@ class TestCampaigns:
         assert json.loads(capsys.readouterr().out)["reduction_ok"] is False
 
     def test_summary_dict_shape(self):
-        d = summary_dict(verify_range(2, 2))
+        d = summary_dict(verify_pairs([(1, 1), (1, 2), (2, 1), (2, 2)]))
         assert list(d) == [
             "dims",
             "graphs_checked",
@@ -481,9 +486,52 @@ class TestCorollary:
         with pytest.raises(ValueError):
             corollary_check(K22, [1, -1, 1, 1])
 
-    def test_cap_applies_to_the_tree_enumeration(self):
-        with pytest.raises(CapExceeded):
-            corollary_check(HEX, self.ones(HEX), cap=3)
+    @staticmethod
+    def seeded_weights(rng, count):
+        # About a third of the entries are 0; the rest are fractions.
+        return [
+            Fraction(0) if rng.random() < 1 / 3 else Fraction(rng.randint(1, 9), rng.randint(1, 5))
+            for _ in range(count)
+        ]
+
+    def test_sides_equal_the_tree_list_reference(self):
+        # Every labeled graph with m*n <= 12, disconnected ones included.
+        rng = random.Random(1609)
+        checked = 0
+        for m in range(1, 13):
+            for n in range(1, 12 // m + 1):
+                for mask in range(1 << (m * n)):
+                    g = graph_from_mask(m, n, mask)
+                    z = self.seeded_weights(rng, m + n)
+                    left, right, scale = _corollary_sides(g, z)
+                    assert (Fraction(left, scale), Fraction(right, scale)) == corollary_sides(g, z)
+                    assert left <= right
+                    checked += 1
+        assert checked == 35978
+
+    def test_complete_bipartite_attains_equality(self):
+        # Scoins: the tree sum of K_{m,n} is (sum over X)^(n-1) (sum over Y)^(m-1).
+        rng = random.Random(1962)
+        for m in range(1, 11):
+            for n in range(1, 11):
+                z = self.seeded_weights(rng, m + n)
+                left, right, scale = _corollary_sides(complete(m, n), z)
+                assert left == right
+                assert Fraction(right, scale) == sum(z[:m]) ** n * sum(z[m:]) ** m
+                assert corollary_check(complete(m, n), z)
+
+    def test_lists_no_tree(self, monkeypatch):
+        def refuse(g, *, cap=None):
+            raise AssertionError("corollary_check listed spanning trees")
+
+        monkeypatch.setattr("ferrers.verify.tau_brute_force", refuse)
+        assert corollary_check(complete(8, 10), [0, 1, 2, 0, 3, 1, 1, 5] + [1, 0] * 5)
+
+    def test_wrong_minor_fires(self, monkeypatch):
+        # K_{3,4} at unit weights sits at equality, so one more in the minor breaks it.
+        monkeypatch.setattr("ferrers.verify.bareiss_det", lambda rows: linalg.bareiss_det(rows) + 1)
+        with pytest.raises(TheoremViolation, match="weighted bound fails: 5196 > 5184"):
+            corollary_check(complete(3, 4), self.ones(complete(3, 4)))
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
