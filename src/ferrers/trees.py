@@ -7,31 +7,34 @@ from itertools import combinations
 from math import lcm, prod
 
 from .errors import CapExceeded, IdentityViolation, IsolatedVertex
-from .graphs import DEFAULT_CAP, BipartiteGraph, degrees
+from .graphs import DEFAULT_CAP, BipartiteGraph, DegreeData, degrees
 from .graphs import is_connected  # noqa: F401  (uncalled here; perfbench/spans.py rebinds it)
 from .linalg import ScaledRows, bareiss_det, laplacian_rows, scaled_schur
 
 
-def _minor_det_at_x0(lap: list[list[int]], m: int) -> int:
-    """Determinant of the Laplacian minor at x_0, its X block eliminated in closed form.
+def _minor_det_at_0(lap: list[list[int]], k: int) -> int:
+    """Laplacian minor determinant at vertex 0, its side of k vertices eliminated in closed form.
 
-    X has no X-X edges, so rows 1..m-1 of the minor are diag(a_1..a_(m-1))
-    on X.  An isolated x_i makes a zero row.  Otherwise the minor is
-    prod(a) * det S, with S = L_YY - sum over i >= 1 of L[Y][i] L[i][Y] / a_i
-    the Schur complement onto Y.  With D = lcm(a), D*S is an integer n x n
-    block and det(D*S) = D^n det S, so prod(a) * det(D*S) is divisible by D^n;
-    a remainder means a wrong determinant and is a hard error.
+    Vertices 0..k-1 of lap form one side (X, or Y when tau_matrix_tree
+    puts Y first) and have no edges among themselves, so rows 1..k-1 of the
+    minor are diag(a_1..a_(k-1)) on that side.  An isolated vertex there
+    makes a zero row.  Otherwise the minor is prod(a) * det S, with
+    S = L_OO - sum over i >= 1 of L[O][i] L[i][O] / a_i the Schur complement
+    onto the other side O, of n = len(lap) - k vertices.  With D = lcm(a),
+    D*S is an integer n x n block and det(D*S) = D^n det S, so
+    prod(a) * det(D*S) is divisible by D^n; a remainder means a wrong
+    determinant and is a hard error.
     """
-    a = [lap[i][i] for i in range(1, m)]
+    a = [lap[i][i] for i in range(1, k)]
     if 0 in a:
         return 0
     den = lcm(*a)
-    yrows = lap[m:]
-    block = [[den * v for v in row[m:]] for row in yrows]
+    orows = lap[k:]
+    block = [[den * v for v in row[k:]] for row in orows]
     for i, ai in enumerate(a, start=1):
         w = den // ai
-        right = [(z, v) for z, v in enumerate(lap[i][m:]) if v]
-        for y, row in enumerate(yrows):
+        right = [(z, v) for z, v in enumerate(lap[i][k:]) if v]
+        for y, row in enumerate(orows):
             if row[i]:
                 out = block[y]
                 wy = w * row[i]
@@ -65,13 +68,19 @@ def _check_every_deletion(lap: list[list[int]], t: int) -> None:
 
 
 def tau_matrix_tree(g: BipartiteGraph, *, check_all_deletions: bool = False) -> int:
-    """Number of spanning trees, as the Laplacian minor determinant at x_0.
+    """Number of spanning trees, as a Laplacian minor determinant.
 
-    The minor's X rows form a diagonal block, which _minor_det_at_x0
-    eliminates in closed form; Bareiss then runs on the n x n Y block only.
-    The count reads nothing but laplacian_rows(g).  It is an exact
-    nonnegative integer; a negative determinant would mean a bug and is a
-    hard error.  Disconnected graphs give 0, not an error.
+    A graph with an isolated vertex (an empty neighborhood, or an x in no
+    neighborhood) has no spanning tree, and the count returns 0 before it
+    builds any matrix, so a header alone cannot make it allocate (m+n)^2
+    entries.  Otherwise the count reads nothing but laplacian_rows(g).
+    Neither side has inner edges, so _minor_det_at_0 eliminates the side
+    listed first in closed form and Bareiss runs on the other one.  When
+    n > m, the rows and columns are permuted to Y then X and the minor is
+    taken at y_0; otherwise it is taken at x_0 as laplacian_rows lists it.
+    Either way Bareiss runs on a min(m, n) square block.  The count is an
+    exact nonnegative integer; a negative determinant would mean a bug and
+    is a hard error.  Disconnected graphs give 0, not an error.
 
     With check_all_deletions the minor at every other deleted vertex must
     equal the closed form too, and one generic minor certifies them all.
@@ -80,12 +89,24 @@ def tau_matrix_tree(g: BipartiteGraph, *, check_all_deletions: bool = False) -> 
     at rank N-1 the kernel and the left kernel are both spanned by the
     all-ones vector, so adj(A) is a multiple of the all-ones matrix.  Either
     way all cofactors are equal (Kirchhoff; Biggs, Algebraic Graph Theory,
-    1974).  So _check_every_deletion checks the sums in integers and the
-    generic Bareiss minor at index 1, which uses nothing of the diagonal X
-    block, against the closed form.
+    1974).  A permutation keeps those sums, so _check_every_deletion checks
+    them in integers on the matrix the closed form read, and checks the
+    generic Bareiss minor at index 1, which shares no step with the closed
+    form, against it.
     """
+    covered = 0
+    for t in g.nbrs:
+        if not t:
+            return 0
+        covered |= t
+    if covered != (1 << g.m) - 1:
+        return 0
     lap = laplacian_rows(g)
-    t = _minor_det_at_x0(lap, g.m)
+    k = g.m
+    if g.n > k:
+        lap = [row[k:] + row[:k] for row in lap[k:] + lap[:k]]
+        k = g.n
+    t = _minor_det_at_0(lap, k)
     if t < 0:
         raise IdentityViolation(f"negative Laplacian minor determinant {t}")
     if check_all_deletions:
@@ -125,9 +146,14 @@ def tau_brute_force(g: BipartiteGraph, *, cap: int = DEFAULT_CAP) -> int:
     return count
 
 
-def ferrers_invariant(g: BipartiteGraph) -> Fraction:
-    """Degree product over m*n, the exact value that bounds the tree count."""
-    dd = degrees(g)
+def ferrers_invariant(g: BipartiteGraph, *, dd: DegreeData | None = None) -> Fraction:
+    """Degree product over m*n, the exact value that bounds the tree count.
+
+    dd may be passed in when the degrees of g are already counted, such as
+    the degrees scaled_schur returns; otherwise they are counted here.
+    """
+    if dd is None:
+        dd = degrees(g)
     if 0 in dd.a or 0 in dd.b:
         raise IsolatedVertex("degree-zero vertex, the degree product is degenerate")
     return Fraction(prod(dd.a) * prod(dd.b), g.m * g.n)

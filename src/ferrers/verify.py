@@ -18,7 +18,7 @@ from functools import partial
 from math import lcm, prod
 from typing import Callable, Iterable, Sequence
 
-from .errors import CapExceeded, IdentityViolation, TheoremViolation
+from .errors import CapExceeded, IdentityViolation, NonConvergence, TheoremViolation
 from .graphs import (
     DEFAULT_CAP,
     BipartiteGraph,
@@ -85,8 +85,9 @@ def verify_graph(
     """Verify one connected graph: bound, equality vs staircase shape, cross-checks.
 
     The inequality and equality verdicts compare tau against
-    F = ferrers_invariant(g) as exact rationals.  The reduction identity and
-    the exact majorization certificate (certify_majorization) run as well,
+    F = ferrers_invariant(g) as exact rationals, F taken from the degrees
+    that scaled_schur returns, so they are counted once.  The reduction
+    identity and the exact majorization certificate (certify_majorization) run as well,
     on the integer rows of D*M built once by scaled_schur, and land in their
     boolean fields; no eigenvalue is computed.  The certificate's no-swap
     elimination gives det(D*M) to the reduction, which takes the determinant
@@ -110,7 +111,7 @@ def verify_graph(
         reduction_ok = check_reduction(g, tau=tau, scaled=scaled, det=det)
     except IdentityViolation:
         reduction_ok = False
-    F = ferrers_invariant(g)
+    F = ferrers_invariant(g, dd=scaled[2])
     return VerificationRecord(
         graph=g,
         tau=tau,
@@ -177,8 +178,8 @@ def summary_dict(s: CampaignSummary) -> dict:
 
 
 def _examine(
-    g: BipartiteGraph, oracle_edge_cap: int | None
-) -> tuple[VerificationRecord, list[str], bool]:
+    g: BipartiteGraph, oracle_edge_cap: int | None, fail_fast: bool
+) -> tuple[VerificationRecord | None, list[str], bool]:
     """Record and failed categories for one graph, and whether the oracles ran.
 
     Oracled graphs take tau from the all-deletions check, so it is computed
@@ -188,24 +189,43 @@ def _examine(
     Laplacian's rows and columns sum to 0, so all its cofactors are equal.
     The report is the float cross-check of the exact majorization certificate;
     an IdentityViolation there counts as "spectrum".
+
+    Without fail_fast one graph's hard error is a category too, so a tally
+    campaign goes on: an IdentityViolation from verify_graph, whose only
+    uncaught one is its own tree count's, counts as "tau" and leaves the
+    graph without a record (and without the brute-force comparison); a
+    ValueError or NonConvergence from the report counts as "spectrum".
+    With fail_fast they propagate.
     """
-    if oracle_edge_cap is None or g.edge_count > oracle_edge_cap:
-        rec = verify_graph(g)
-        return rec, rec.failures, False
+    oracled = oracle_edge_cap is not None and g.edge_count <= oracle_edge_cap
+    tau = scaled = None
+    if oracled:
+        try:
+            tau = tau_matrix_tree(g, check_all_deletions=True)
+        except IdentityViolation:
+            pass
+        scaled = scaled_schur(g)
     try:
-        tau = tau_matrix_tree(g, check_all_deletions=True)
+        rec = verify_graph(g, tau=tau, scaled=scaled)
+        bad = rec.failures
     except IdentityViolation:
-        tau = None
-    scaled = scaled_schur(g)
-    rec = verify_graph(g, tau=tau, scaled=scaled)
-    bad = rec.failures
+        if fail_fast:
+            raise
+        rec = None
+        bad = ["tau"]
+    if not oracled:
+        return rec, bad, False
     if tau is None:
         bad.append("deletion")
-    if tau_brute_force(g, cap=oracle_edge_cap) != rec.tau:
+    if rec is not None and tau_brute_force(g, cap=oracle_edge_cap) != rec.tau:
         bad.append("oracle")
     try:
         majorization_report(g, scaled=scaled)
     except IdentityViolation:
+        bad.append("spectrum")
+    except (ValueError, NonConvergence):
+        if fail_fast:
+            raise
         bad.append("spectrum")
     return rec, bad, True
 
@@ -221,24 +241,23 @@ def _run_chunk(
             continue
         g = graph_from_mask(m, n, mask)
         try:
-            rec, bad, used_oracle = _examine(g, oracle_edge_cap)
+            rec, bad, used_oracle = _examine(g, oracle_edge_cap, fail_fast)
         except Exception as exc:  # same type, so callers still catch it; now it names g
             raise type(exc)(f"{exc} for:\n{write_graph(g)}") from exc
         tally.graphs_checked += 1
-        tally.equality_cases += rec.equality
-        tally.ferrers_count += rec.ferrers
         tally.oracle_checked += used_oracle
+        if rec is not None:
+            tally.equality_cases += rec.equality
+            tally.ferrers_count += rec.ferrers
         if bad:
-            dump = (
-                f"{', '.join(bad)} failed for tau={rec.tau}, F={rat_str(rec.F)}:\n"
-                f"{write_graph(g)}"
-            )
+            values = "" if rec is None else f" for tau={rec.tau}, F={rat_str(rec.F)}"
+            dump = f"{', '.join(bad)} failed{values}:\n{write_graph(g)}"
             if fail_fast:
                 raise TheoremViolation(dump)
             tally.failure_counts.update(bad)
             for category in bad:
                 tally.failure_examples.setdefault(category, dump)
-        if records is not None:
+        if records is not None and rec is not None:
             records.append(record_dict(rec))
     return tally, records
 
@@ -259,16 +278,19 @@ def verify_pairs(
 
     Each (m, n) pair must respect the enumeration cap.  With fail_fast the
     first violating graph aborts the whole campaign inside a TheoremViolation;
-    otherwise violations are tallied per category.  oracle_edge_cap turns on
+    otherwise violations are tallied per category, and so are a tree count's
+    IdentityViolation ("tau") and the Jacobi report's ValueError or
+    NonConvergence ("spectrum").  oracle_edge_cap turns on
     the brute-force and deletion-independence cross-checks for graphs with at
     most that many edges; the latter checks zero Laplacian row and column
     sums and one generic minor, which together make every cofactor equal.
-    emit receives one JSON-ready record per graph.
+    emit receives one JSON-ready record per graph that has one: a graph
+    whose tree count failed has none.
     The masks are cut into chunks (m, n, lo, hi), and one loop absorbs each
     chunk's CampaignSummary and records in mask order: None runs the chunks
     in turn, workers > 1 runs them in a pool of at most one process per
-    chunk, and a value below 1 is a ValueError.  An exception raised while
-    checking one graph is re-raised with its type and that graph added.
+    chunk, and a value below 1 is a ValueError.  Any other exception raised
+    while checking one graph is re-raised with its type and that graph added.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")

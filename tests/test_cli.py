@@ -372,9 +372,13 @@ class TestErrorPaths:
         ],
     )
     def test_flag_of_another_verb_rejected(self, argv, hexfile, tmp_path):
-        # Each command succeeds without its last flag, which that verb does not take.
+        # Each command succeeds without its last flag (and the flag's value,
+        # if any), and exits 2 with it, since that verb does not take it.
         # WHEX is the hexagon followed by a line of weights, as corollary reads it.
         weighted = tmp_path / "weighted.txt"
         weighted.write_text(HEX_TEXT + "1 1 1 1 1 1\n")
         files = {"HEX": hexfile, "WHEX": str(weighted)}
-        assert main([files.get(a, a) for a in argv]) == 2
+        argv = [files.get(a, a) for a in argv]
+        flag = max(i for i, a in enumerate(argv) if a.startswith("--"))
+        assert main(argv[:flag]) == 0
+        assert main(argv) == 2

@@ -348,7 +348,9 @@ class TestMatrixM:
         # The build of D*M has no check of its own: one x-degree off by one
         # there fails the reduction identity and the majorization certificate
         # on every graph, since both read the degrees scaled_schur returns.
-        # The Laplacian counts its own diagonal, so tau does not move.
+        # F reads them too, so it grows and every staircase, where tau = F
+        # held, fails "equality"; tau <= F still holds.  The Laplacian
+        # counts its own diagonal, so tau does not move.
         def corrupted(g):
             dd = degrees(g)
             return DegreeData(dd.a[:-1] + (dd.a[-1] + 1,), dd.b)
@@ -359,7 +361,13 @@ class TestMatrixM:
         records = []
         s = verify_pairs([(3, 3)], fail_fast=False, emit=records.append)
         assert s.graphs_checked == len(clean) > 0
-        assert s.failure_counts == dict.fromkeys(("reduction", "majorization"), s.graphs_checked)
+        staircases = sum(r["equality"] for r in clean)
+        assert staircases == 73
+        assert s.failure_counts == {
+            "reduction": s.graphs_checked,
+            "majorization": s.graphs_checked,
+            "equality": staircases,
+        }
         assert [r["tau"] for r in records] == [r["tau"] for r in clean]
 
     def test_hexagon_adjugate_of_reduced_matrix(self):

@@ -13,6 +13,7 @@ from ferrers.errors import CapExceeded, DisconnectedGraph, IdentityViolation, Is
 from ferrers.graphs import (
     BipartiteGraph,
     PartitionSpec,
+    _transpose,
     enumerate_connected,
     ferrers_from_partition,
     graph_from_mask,
@@ -41,6 +42,23 @@ def complete(m, n):
 def generic_minor_at_x0(g):
     """Oracle: bareiss_det of the whole Laplacian minor sliced at x_0."""
     return bareiss_det([row[1:] for row in laplacian_rows(g)[1:]])
+
+
+def y_first(lap, m):
+    """The Laplacian with its rows and columns permuted to Y then X."""
+    return [row[m:] + row[:m] for row in lap[m:] + lap[:m]]
+
+
+def seeded_graphs(seed, count, sizes):
+    """count connected graphs with (m, n) drawn from sizes."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        m, n = rng.choice(sizes)
+        g = BipartiteGraph(m, n, tuple(rng.randint(1, (1 << m) - 1) for _ in range(n)))
+        if is_connected(g):
+            out.append(g)
+    return out
 
 
 def fires(check, lap, t):
@@ -117,17 +135,26 @@ class TestMatrixTree:
         ],
     )
     def test_closed_form_edge_cases(self, g, count):
+        # tau_matrix_tree returns 0 on an isolated vertex before the closed
+        # form runs, so the closed form is also called on the X-first rows.
         assert tau_matrix_tree(g) == count == generic_minor_at_x0(g)
+        assert ferrers.trees._minor_det_at_0(laplacian_rows(g), g.m) == count
 
     def test_closed_form_matches_generic_minor_exhaustively(self):
         # Every labeled graph with m*n <= 12, connected or not.  Neither the
         # one-minor deletion oracle nor the all-minors reference fires, and
-        # both give the generic minor at x_0.
+        # both give the generic minor at x_0.  The closed form is checked in
+        # both orientations: X eliminated with x_0 deleted, and Y eliminated
+        # with y_0 deleted, whichever of them tau_matrix_tree picks.
+        closed_form = ferrers.trees._minor_det_at_0
         for m in range(1, 13):
             for n in range(1, 12 // m + 1):
                 for mask in range(1 << (m * n)):
                     g = graph_from_mask(m, n, mask)
                     t = generic_minor_at_x0(g)
+                    lap = laplacian_rows(g)
+                    assert closed_form(lap, m) == t, (m, n, mask)
+                    assert closed_form(y_first(lap, m), n) == t, (m, n, mask)
                     assert tau_matrix_tree(g) == t, (m, n, mask)
                     assert tau_matrix_tree(g, check_all_deletions=True) == t, (m, n, mask)
                     assert every_deletion_minor(laplacian_rows(g), t) == t, (m, n, mask)
@@ -144,7 +171,7 @@ class TestMatrixTree:
         for i in range(m):
             rows[i][:m] = [0] * m
             rows[i][i] = data.draw(st.integers(1, 6))
-        assert ferrers.trees._minor_det_at_x0(rows, m) == bareiss_det([r[1:] for r in rows[1:]])
+        assert ferrers.trees._minor_det_at_0(rows, m) == bareiss_det([r[1:] for r in rows[1:]])
 
     @pytest.mark.parametrize("m,n", list(product(range(1, 11), range(1, 11))))
     def test_complete_bipartite_closed_form(self, m, n):
@@ -230,8 +257,8 @@ class TestMatrixTree:
             tau_matrix_tree(HEX, check_all_deletions=True)
 
     def test_deletion_oracle_catches_a_wrong_closed_form(self, monkeypatch):
-        exact = ferrers.trees._minor_det_at_x0
-        monkeypatch.setattr(ferrers.trees, "_minor_det_at_x0", lambda lap, m: exact(lap, m) + 1)
+        exact = ferrers.trees._minor_det_at_0
+        monkeypatch.setattr(ferrers.trees, "_minor_det_at_0", lambda lap, k: exact(lap, k) + 1)
         assert tau_matrix_tree(HEX) == 7
         with pytest.raises(IdentityViolation, match="depends on the deleted vertex"):
             tau_matrix_tree(HEX, check_all_deletions=True)
@@ -264,6 +291,57 @@ class TestMatrixTree:
         assert [tau_matrix_tree(g) for g in graphs] == expected
         assert [tau_matrix_tree(g, check_all_deletions=True) for g in graphs] == expected
         assert expected[0b101110011] == 6  # the hexagon
+
+    def test_transpose_has_the_same_count(self):
+        # tau is symmetric in the two parts, and the count eliminates
+        # whichever side is larger: every connected labeled graph with
+        # m*n <= 12, then seeded graphs up to (6, 10) and (10, 6).
+        checked = [
+            g
+            for m in range(1, 13)
+            for n in range(1, 12 // m + 1)
+            for g in enumerate_connected(m, n)
+        ]
+        sizes = [(m, n) for m in range(1, 11) for n in range(1, 11) if min(m, n) <= 6]
+        checked += seeded_graphs(17, 200, sizes)
+        assert any(g.n > g.m for g in checked) and any(g.m > g.n for g in checked)
+        for g in checked:
+            t = tau_matrix_tree(g)
+            h = _transpose(g)
+            assert t > 0
+            assert tau_matrix_tree(h) == t, g
+            assert tau_matrix_tree(g, check_all_deletions=True) == t, g
+            assert tau_matrix_tree(h, check_all_deletions=True) == t, g
+
+    def test_bareiss_runs_on_the_smaller_side(self, monkeypatch):
+        sizes = []
+
+        def recording(rows):
+            sizes.append(len(rows))
+            return bareiss_det(rows)
+
+        monkeypatch.setattr(ferrers.trees, "bareiss_det", recording)
+        for g in seeded_graphs(5, 60, [(m, n) for m in range(1, 11) for n in range(1, 11)]):
+            sizes.clear()
+            tau_matrix_tree(g)
+            assert sizes == [min(g.m, g.n)], (g.m, g.n)
+
+    @pytest.mark.parametrize("check_all_deletions", [False, True])
+    @pytest.mark.parametrize(
+        "g",
+        [
+            BipartiteGraph(100000, 1, (1,)),  # x_1..x_99999 in no neighborhood
+            BipartiteGraph(1, 100000, (1,) + (0,) * 99999),  # y_1.. with no neighbor
+        ],
+        ids=["isolated-x", "isolated-y"],
+    )
+    def test_isolated_vertex_builds_no_matrix(self, monkeypatch, g, check_all_deletions):
+        # A header alone must not make the count allocate (m+n)^2 entries.
+        def refuse(g):
+            raise AssertionError("tau_matrix_tree built the Laplacian")
+
+        monkeypatch.setattr(ferrers.trees, "laplacian_rows", refuse)
+        assert tau_matrix_tree(g, check_all_deletions=check_all_deletions) == 0
 
 
 class TestBruteForce:

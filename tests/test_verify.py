@@ -154,8 +154,8 @@ class TestVerifyGraph:
 
 
 class TestSharedDataCounts:
-    """Per graph, the degrees are counted twice: in scaled_schur, which hands
-    them to the checks on D*M, and in ferrers_invariant for F.  Connectivity
+    """Per graph, the degrees are counted once, in scaled_schur, which hands
+    them to the checks on D*M and to ferrers_invariant for F.  Connectivity
     is checked once, by the guard in scaled_schur, also on an oracled graph.
     A staircase's flag diagonalization counts the degrees once and checks
     connectivity once, both in scaled_schur.  The names wrapped are the ones
@@ -185,13 +185,13 @@ class TestSharedDataCounts:
         for g in checked:
             calls.update(degrees=0, is_connected=0)
             assert verify_graph(g).reduction_ok
-            assert calls == {"degrees": 2, "is_connected": 1}
+            assert calls == {"degrees": 1, "is_connected": 1}
 
     def test_oracled_graph(self, calls):
         # The Jacobi report reads the same rows: no guard and no degree count.
-        rec, bad, used_oracle = _examine(HEX, 14)
+        rec, bad, used_oracle = _examine(HEX, 14, True)
         assert used_oracle and bad == []
-        assert calls == {"degrees": 2, "is_connected": 1}
+        assert calls == {"degrees": 1, "is_connected": 1}
 
     def test_flag_diagonalization(self, calls):
         assert equality_flag_diagonalization(PartitionSpec((5, 3, 3, 2, 1)))
@@ -320,8 +320,10 @@ class TestCampaigns:
 
     def test_unexpected_exception_names_its_graph_serial_and_pool(self, monkeypatch):
         # (2,7) spans two chunks of masks, so workers=2 really runs the pool.
+        # A tally campaign counts the report's ValueError as "spectrum"; an
+        # error of no expected type still ends it.
         def broken(mat):
-            raise ValueError("eigensolver broke")
+            raise ZeroDivisionError("eigensolver broke")
 
         monkeypatch.setattr("ferrers.spectral.eigen_sym", broken)
         first = next(
@@ -329,7 +331,7 @@ class TestCampaigns:
         )
         messages = []
         for workers in (None, 2):
-            with pytest.raises(ValueError) as exc:
+            with pytest.raises(ZeroDivisionError) as exc:
                 verify_pairs([(2, 7)], oracle_edge_cap=14, fail_fast=False, workers=workers)
             messages.append(str(exc.value))
         assert messages[0].startswith("eigensolver broke")
@@ -376,8 +378,8 @@ class TestCampaigns:
     def test_wrong_closed_form_counts_deletion_on_every_graph(self, monkeypatch):
         # The tree count eliminates the X block in closed form; the deletion
         # oracle's generic minors are the independent route that catches it.
-        exact = trees._minor_det_at_x0
-        monkeypatch.setattr(trees, "_minor_det_at_x0", lambda lap, m: exact(lap, m) + 1)
+        exact = trees._minor_det_at_0
+        monkeypatch.setattr(trees, "_minor_det_at_0", lambda lap, k: exact(lap, k) + 1)
         s = verify_pairs([(3, 3)], oracle_edge_cap=14, fail_fast=False)
         assert s.oracle_checked == s.graphs_checked > 0
         assert s.failure_counts["deletion"] == s.graphs_checked
@@ -411,13 +413,44 @@ class TestCampaigns:
         assert calls == [False] * s.graphs_checked
 
     def test_spectrum_non_convergence_propagates(self, monkeypatch):
+        # Only fail-fast lets it through; a tally campaign counts it.
         def stuck(g, *, scaled=None):
             raise NonConvergence("no convergence after 100 Jacobi sweeps")
 
         monkeypatch.setattr("ferrers.verify.majorization_report", stuck)
         assert verify_pairs([(2, 2)], fail_fast=False).violations == 0
-        with pytest.raises(NonConvergence):
-            verify_pairs([(2, 2)], oracle_edge_cap=14, fail_fast=False)
+        s = verify_pairs([(2, 2)], oracle_edge_cap=14, fail_fast=False)
+        assert s.graphs_checked == s.oracle_checked == 5
+        assert s.failure_counts == {"spectrum": 5}
+        with pytest.raises(NonConvergence, match="for:\n1 1\n0\n"):
+            verify_pairs([(1, 1)], oracle_edge_cap=14)
+
+    @pytest.mark.parametrize("oracle_edge_cap", [None, 14])
+    def test_tree_count_error_is_tallied_on_its_graph(self, monkeypatch, oracle_edge_cap):
+        # The closed form raises on K_{2,2} only: a tally campaign counts
+        # "tau" on it (and "deletion" where the oracle ran) and goes on;
+        # fail-fast raises with the graph named.
+        exact = trees._minor_det_at_0
+
+        def broken_on_k22(lap, k):
+            if len(lap) == 4 and all(lap[i][i] == 2 for i in range(4)):
+                raise IdentityViolation("corrupted closed form")
+            return exact(lap, k)
+
+        monkeypatch.setattr(trees, "_minor_det_at_0", broken_on_k22)
+        records = []
+        s = verify_pairs(
+            [(2, 2)], oracle_edge_cap=oracle_edge_cap, fail_fast=False, emit=records.append
+        )
+        assert s.graphs_checked == 5
+        tau_failures = {"tau": 1} if oracle_edge_cap is None else {"tau": 1, "deletion": 1}
+        assert s.failure_counts == tau_failures
+        head, text = s.failure_examples["tau"].split(":\n", 1)
+        assert head.startswith("tau") and text == write_graph(K22)
+        assert len(records) == 4 and write_graph(K22) not in [r["graph"] for r in records]
+        assert s.equality_cases == s.ferrers_count == 4
+        with pytest.raises(IdentityViolation, match=re.escape(f"for:\n{write_graph(K22)}")):
+            verify_pairs([(2, 2)], oracle_edge_cap=oracle_edge_cap)
 
     def test_failed_reduction_check_counts_in_campaigns_and_check(self, corrupt, tmp_path, capsys):
         corrupt("reduction")
@@ -668,21 +701,21 @@ def _minors_without_division(rows):
 
 
 _D_M_READERS = ("verify", "trees", "spectral")
-_FIRST_2_BY_1 = write_graph(BipartiteGraph(2, 1, (0b11,)))
 
 
 class TestFaultMatrix:
     """One small bug in one layer, injected by rebinding its name in every
     module that imports it.  A tally campaign over every pair with m, n <= 3
     (253 connected graphs, all oracled at 14 edges) pins the graphs each
-    category catches; the asymmetric rows instead end the campaign with the
-    eigensolver's ValueError, which names the first graph with m >= 2.
+    category catches.  The eigensolver's ValueError on asymmetric rows is
+    counted as "spectrum", so that campaign goes on as well.
 
     ROADMAP item 6 has the same table over m, n <= 4 and m*n <= 12, where
     every row fires the same categories.  bareiss_det + 1 above dimension 4
     reaches only the deletion oracle's generic minor of size m+n-1: the tree
-    count runs Bareiss on the n x n Y block, and the reduction reads det(D*M)
-    from leading_minors.
+    count runs Bareiss on a min(m, n) square block, and the reduction reads
+    det(D*M) from leading_minors.  A raised x_0 diagonal reaches the count
+    where n > m, since the minor is then taken at y_0 and keeps x_0.
     """
 
     @pytest.mark.parametrize(
@@ -690,7 +723,9 @@ class TestFaultMatrix:
         [
             pytest.param(
                 ("trees",), "laplacian_rows", _laplacian_with(_raise_x0_diagonal),
-                {"deletion": 253}, id="laplacian-diagonal-x0",
+                {"deletion": 253, "inequality": 21, "reduction": 21, "oracle": 21,
+                 "equality": 15},
+                id="laplacian-diagonal-x0",
             ),
             pytest.param(
                 ("trees",), "laplacian_rows", _laplacian_with(_drop_last_edge),
@@ -698,8 +733,8 @@ class TestFaultMatrix:
             ),
             pytest.param(
                 ("trees",), "laplacian_rows", _laplacian_with(_drop_last_pair),
-                {"deletion": 253, "reduction": 224, "oracle": 224, "inequality": 224,
-                 "equality": 94},
+                {"deletion": 253, "reduction": 231, "oracle": 231, "inequality": 231,
+                 "equality": 99},
                 id="laplacian-drops-pair",
             ),
             pytest.param(
@@ -726,7 +761,7 @@ class TestFaultMatrix:
             ),
             pytest.param(
                 _D_M_READERS, "scaled_schur", _asymmetric_schur,
-                f"matrix is not symmetric at (0,1) for:\n{_FIRST_2_BY_1}",
+                {"majorization": 250, "spectrum": 250, "reduction": 244},
                 id="asymmetric-rows",
             ),
         ],
@@ -735,10 +770,6 @@ class TestFaultMatrix:
         for module in modules:
             monkeypatch.setattr(f"ferrers.{module}.{name}", fake)
         pairs = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
-        if isinstance(fired, str):
-            with pytest.raises(ValueError, match=re.escape(fired)):
-                verify_pairs(pairs, oracle_edge_cap=14, fail_fast=False)
-            return
         s = verify_pairs(pairs, oracle_edge_cap=14, fail_fast=False)
         assert s.graphs_checked == s.oracle_checked == 253
         assert s.failure_counts == fired
