@@ -135,8 +135,9 @@ class CampaignSummary:
     graphs that also went through the brute-force, deletion-independence
     and Jacobi spectrum cross-checks; deletion-independence is certified by
     zero Laplacian row and column sums plus one generic minor, since zero
-    sums make all cofactors equal.  A chunk leaves wall_time at 0; the
-    campaign sets its own.
+    sums make all cofactors equal.  A graph whose Jacobi report input already
+    passed in its chunk counts as checked without a new solve.  A chunk
+    leaves wall_time at 0; the campaign sets its own.
     """
 
     dims: tuple[int, int]
@@ -178,7 +179,7 @@ def summary_dict(s: CampaignSummary) -> dict:
 
 
 def _examine(
-    g: BipartiteGraph, oracle_edge_cap: int | None, fail_fast: bool
+    g: BipartiteGraph, oracle_edge_cap: int | None, fail_fast: bool, passed: set
 ) -> tuple[VerificationRecord | None, list[str], bool]:
     """Record and failed categories for one graph, and whether the oracles ran.
 
@@ -188,7 +189,13 @@ def _examine(
     That check certifies every deletion from one generic minor: the
     Laplacian's rows and columns sum to 0, so all its cofactors are equal.
     The report is the float cross-check of the exact majorization certificate;
-    an IdentityViolation there counts as "spectrum".
+    an IdentityViolation there counts as "spectrum".  It runs once per
+    distinct input: passed holds the inputs that already passed in this
+    chunk, keyed on everything the report reads (D, the rows of D*M, the
+    X-degrees and the multiset of (neighborhood, y-degree) pairs), so an
+    equal key gives the same float computation and verdict.  Graphs that
+    differ only in the order of Y share a key.  A failure is not stored, so
+    it is recomputed, and counted and named, on every graph that has it.
 
     Without fail_fast one graph's hard error is a category too, so a tally
     campaign goes on: an IdentityViolation from verify_graph, whose only
@@ -219,8 +226,13 @@ def _examine(
         bad.append("deletion")
     if rec is not None and tau_brute_force(g, cap=oracle_edge_cap) != rec.tau:
         bad.append("oracle")
+    den, rows, dd = scaled
+    key = (den, tuple(map(tuple, rows)), dd.a, tuple(sorted(zip(g.nbrs, dd.b))))
+    if key in passed:
+        return rec, bad, True
     try:
         majorization_report(g, scaled=scaled)
+        passed.add(key)
     except IdentityViolation:
         bad.append("spectrum")
     except (ValueError, NonConvergence):
@@ -236,12 +248,13 @@ def _run_chunk(
     m, n, lo, hi = chunk
     tally = CampaignSummary((m, n))
     records: list[dict] | None = [] if collect else None
+    passed: set = set()  # Jacobi report inputs that passed in this chunk
     for mask in range(lo, hi):
         if not _mask_connected(m, n, mask):
             continue
         g = graph_from_mask(m, n, mask)
         try:
-            rec, bad, used_oracle = _examine(g, oracle_edge_cap, fail_fast)
+            rec, bad, used_oracle = _examine(g, oracle_edge_cap, fail_fast, passed)
         except Exception as exc:  # same type, so callers still catch it; now it names g
             raise type(exc)(f"{exc} for:\n{write_graph(g)}") from exc
         tally.graphs_checked += 1
@@ -281,9 +294,11 @@ def verify_pairs(
     otherwise violations are tallied per category, and so are a tree count's
     IdentityViolation ("tau") and the Jacobi report's ValueError or
     NonConvergence ("spectrum").  oracle_edge_cap turns on
-    the brute-force and deletion-independence cross-checks for graphs with at
-    most that many edges; the latter checks zero Laplacian row and column
-    sums and one generic minor, which together make every cofactor equal.
+    the brute-force, deletion-independence and Jacobi spectrum cross-checks
+    for graphs with at most that many edges; deletion-independence checks
+    zero Laplacian row and column sums and one generic minor, which together
+    make every cofactor equal.  The Jacobi report runs once per distinct
+    input per chunk, and a failing input is recomputed on every graph.
     emit receives one JSON-ready record per graph that has one: a graph
     whose tree count failed has none.
     The masks are cut into chunks (m, n, lo, hi), and one loop absorbs each

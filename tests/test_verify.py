@@ -22,6 +22,7 @@ from ferrers.graphs import (
     BipartiteGraph,
     DegreeData,
     PartitionSpec,
+    enumerate_connected,
     ferrers_from_partition,
     graph_from_mask,
     is_connected,
@@ -189,7 +190,7 @@ class TestSharedDataCounts:
 
     def test_oracled_graph(self, calls):
         # The Jacobi report reads the same rows: no guard and no degree count.
-        rec, bad, used_oracle = _examine(HEX, 14, True)
+        rec, bad, used_oracle = _examine(HEX, 14, True, set())
         assert used_oracle and bad == []
         assert calls == {"degrees": 1, "is_connected": 1}
 
@@ -411,6 +412,42 @@ class TestCampaigns:
         calls.clear()
         verify_pairs([(2, 3)], fail_fast=False)
         assert calls == [False] * s.graphs_checked
+
+    def test_jacobi_report_runs_once_per_distinct_input(self, monkeypatch):
+        # Graphs that differ only in the order of Y give the report the same
+        # rows, degrees and neighborhood multiset; a pass is kept per chunk.
+        runs = []
+        for workers in (None, 2):
+            d = summary_dict(
+                verify_pairs([(3, 4), (2, 7)], oracle_edge_cap=14, workers=workers, fail_fast=False)
+            )
+            del d["wall_time"]
+            runs.append(d)
+        assert runs[1] == runs[0]
+        calls = []
+
+        def counting(g, *, scaled=None):
+            calls.append(g)
+            return majorization_report(g, scaled=scaled)
+
+        monkeypatch.setattr("ferrers.verify.majorization_report", counting)
+        s = verify_pairs([(3, 4)], oracle_edge_cap=14, fail_fast=False)
+        assert s.graphs_checked == s.oracle_checked == 1795
+        assert s.violations == 0
+        distinct = {tuple(sorted(g.nbrs)) for g in enumerate_connected(3, 4)}
+        assert len(calls) == len(distinct) == 135
+
+    def test_report_memo_keys_on_the_rows_not_the_labels(self, monkeypatch):
+        # The hexagon's Y-sibling (0b110, 0b011, 0b101) comes earlier in mask
+        # order with sound rows and passes; only the hexagon's rows are
+        # corrupted, and its report must still run and fail.
+        def corrupt_hexagon(g):
+            return _schur_without_diagonal_term(g) if g.nbrs == HEX.nbrs else linalg.scaled_schur(g)
+
+        monkeypatch.setattr("ferrers.verify.scaled_schur", corrupt_hexagon)
+        s = verify_pairs([(3, 3)], oracle_edge_cap=14, fail_fast=False)
+        assert s.failure_counts == {"reduction": 1, "majorization": 1, "spectrum": 1}
+        assert s.failure_examples["spectrum"].endswith(":\n" + write_graph(HEX))
 
     def test_spectrum_non_convergence_propagates(self, monkeypatch):
         # Only fail-fast lets it through; a tally campaign counts it.
