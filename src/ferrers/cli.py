@@ -8,7 +8,9 @@ spectral.FLOAT_TOL, so no verb takes a tolerance.  overlap refuses m above
 the default cap as an input bound, so that no index can make 1 << index
 large; its identity check is integer work.  Only enumerate and verify take
 --cap, a bound on m*n; corollary checks a graph of any size, because its
-tree sum is one integer cofactor and no tree is listed.  Each verb passes
+tree sum is one integer cofactor and no tree is listed; its weights are
+integers, p/q or plain decimals, and one in exponent notation (1e9) is bad
+input, since its cost to parse grows with the exponent.  Each verb passes
 exact values as p/q strings.  Exit codes: 0 on success, 1 when a theorem check fails (a
 counterexample to the bound or a failed cross-check), 2 on bad input.
 """
@@ -167,8 +169,12 @@ def _cmd_corollary(args) -> int:
         lines.pop()
     if len(lines) < 2:
         raise ValueError("expected a graph followed by one line of weights")
+    fields = lines[-1].split()
+    for field in fields:
+        if "e" in field.lower():  # Fraction would expand 1e2000000 into every digit
+            raise ValueError(f"weight {field!r} is in exponent notation; write it as p/q")
     try:
-        weights = [Fraction(field) for field in lines[-1].split()]
+        weights = [Fraction(field) for field in fields]
     except ZeroDivisionError as exc:  # "1/0" is bad input, not a failed check
         raise ValueError(f"weight with a zero denominator in {lines[-1].strip()!r}") from exc
     g = parse_graph("\n".join(lines[:-1]) + "\n")

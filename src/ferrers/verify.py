@@ -76,12 +76,7 @@ def record_dict(rec: VerificationRecord) -> dict:
     }
 
 
-def verify_graph(
-    g: BipartiteGraph,
-    *,
-    tau: int | None = None,
-    scaled: ScaledRows | None = None,
-) -> VerificationRecord:
+def verify_graph(g: BipartiteGraph, *, scaled: ScaledRows | None = None) -> VerificationRecord:
     """Verify one connected graph: bound, equality vs staircase shape, cross-checks.
 
     The inequality and equality verdicts compare tau against
@@ -91,16 +86,15 @@ def verify_graph(
     on the integer rows of D*M built once by scaled_schur, and land in their
     boolean fields; no eigenvalue is computed.  The certificate's no-swap
     elimination gives det(D*M) to the reduction, which takes the determinant
-    with row swaps itself when the certificate fails.  tau and scaled may be
-    passed in when already computed; a scaled passed in must be the
-    (D, rows, degrees) triple of scaled_schur(g), and the checks read the
-    degrees from it.  scaled_schur refuses a disconnected graph with
-    DisconnectedGraph, before any tree count is taken.
+    with row swaps itself when the certificate fails.  scaled may be passed
+    in when already computed; it must be the (D, rows, degrees) triple of
+    scaled_schur(g), and the checks read the degrees from it.  scaled_schur
+    refuses a disconnected graph with DisconnectedGraph, before the tree
+    count is taken.
     """
     if scaled is None:
         scaled = scaled_schur(g)
-    if tau is None:
-        tau = tau_matrix_tree(g)
+    tau = tau_matrix_tree(g)
     try:
         det = certify_majorization(g, scaled=scaled)[-1]
         majorizes = True
@@ -132,11 +126,9 @@ class CampaignSummary:
     pair.  failure_counts (a Counter) and failure_examples hold the failed
     checks by category; they stay empty on the fail-fast path, where the
     campaign aborts instead.  violations is their total.  oracle_checked counts
-    graphs that also went through the brute-force, deletion-independence
-    and Jacobi spectrum cross-checks; deletion-independence is certified by
-    zero Laplacian row and column sums plus one generic minor, since zero
-    sums make all cofactors equal.  A graph whose Jacobi report input already
-    passed in its chunk counts as checked without a new solve.  A chunk
+    graphs that also went through the brute-force tree count and the Jacobi
+    spectrum cross-check.  A graph whose Jacobi report input already passed
+    in its chunk counts as checked without a new solve.  A chunk
     leaves wall_time at 0; the campaign sets its own.
     """
 
@@ -183,13 +175,11 @@ def _examine(
 ) -> tuple[VerificationRecord | None, list[str], bool]:
     """Record and failed categories for one graph, and whether the oracles ran.
 
-    Oracled graphs take tau from the all-deletions check, so it is computed
-    once, and the rows of D*M are built once for the record and the Jacobi
-    report; when the deletion check fails, verify_graph takes tau itself.
-    That check certifies every deletion from one generic minor: the
-    Laplacian's rows and columns sum to 0, so all its cofactors are equal.
-    The report is the float cross-check of the exact majorization certificate;
-    an IdentityViolation there counts as "spectrum".  It runs once per
+    The rows of D*M are built once for the record and, on an oracled graph,
+    for the Jacobi report.  The brute-force count reads only g.edges(), so
+    it shares no code with the Laplacian minor it checks.  The report is the
+    float cross-check of the exact majorization certificate; an
+    IdentityViolation there counts as "spectrum".  It runs once per
     distinct input: passed holds the inputs that already passed in this
     chunk, keyed on everything the report reads (D, the rows of D*M, the
     X-degrees and the multiset of (neighborhood, y-degree) pairs), so an
@@ -205,15 +195,9 @@ def _examine(
     With fail_fast they propagate.
     """
     oracled = oracle_edge_cap is not None and g.edge_count <= oracle_edge_cap
-    tau = scaled = None
-    if oracled:
-        try:
-            tau = tau_matrix_tree(g, check_all_deletions=True)
-        except IdentityViolation:
-            pass
-        scaled = scaled_schur(g)
+    scaled = scaled_schur(g) if oracled else None
     try:
-        rec = verify_graph(g, tau=tau, scaled=scaled)
+        rec = verify_graph(g, scaled=scaled)
         bad = rec.failures
     except IdentityViolation:
         if fail_fast:
@@ -222,8 +206,6 @@ def _examine(
         bad = ["tau"]
     if not oracled:
         return rec, bad, False
-    if tau is None:
-        bad.append("deletion")
     if rec is not None and tau_brute_force(g, cap=oracle_edge_cap) != rec.tau:
         bad.append("oracle")
     den, rows, dd = scaled
@@ -293,12 +275,10 @@ def verify_pairs(
     first violating graph aborts the whole campaign inside a TheoremViolation;
     otherwise violations are tallied per category, and so are a tree count's
     IdentityViolation ("tau") and the Jacobi report's ValueError or
-    NonConvergence ("spectrum").  oracle_edge_cap turns on
-    the brute-force, deletion-independence and Jacobi spectrum cross-checks
-    for graphs with at most that many edges; deletion-independence checks
-    zero Laplacian row and column sums and one generic minor, which together
-    make every cofactor equal.  The Jacobi report runs once per distinct
-    input per chunk, and a failing input is recomputed on every graph.
+    NonConvergence ("spectrum").  oracle_edge_cap turns on the brute-force
+    tree count and the Jacobi spectrum cross-check for graphs with at most
+    that many edges.  The Jacobi report runs once per distinct input per
+    chunk, and a failing input is recomputed on every graph.
     emit receives one JSON-ready record per graph that has one: a graph
     whose tree count failed has none.
     The masks are cut into chunks (m, n, lo, hi), and one loop absorbs each

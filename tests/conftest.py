@@ -13,8 +13,8 @@ from ferrers.errors import IdentityViolation
 from ferrers.graphs import DEFAULT_CAP
 
 
-def _tau_plus_one(g, *, check_all_deletions=False):
-    return trees.tau_matrix_tree(g, check_all_deletions=check_all_deletions) + 1
+def _tau_plus_one(g):
+    return trees.tau_matrix_tree(g) + 1
 
 
 def _never_ferrers(g):
@@ -33,12 +33,6 @@ def _failed_spectrum(g, *, scaled=None):
     raise IdentityViolation("corrupted Jacobi spectrum")
 
 
-def _deletion_disagrees(g, *, check_all_deletions=False):
-    if check_all_deletions:
-        raise IdentityViolation("corrupted minor at a deleted vertex")
-    return trees.tau_matrix_tree(g)
-
-
 def _brute_force_plus_one(g, *, cap=DEFAULT_CAP):
     return trees.tau_brute_force(g, cap=cap) + 1
 
@@ -48,7 +42,6 @@ CORRUPTIONS = {
     "equality": ("is_ferrers", _never_ferrers),
     "reduction": ("check_reduction", _failed_reduction),
     "majorization": ("certify_majorization", _failed_certificate),
-    "deletion": ("tau_matrix_tree", _deletion_disagrees),
     "oracle": ("tau_brute_force", _brute_force_plus_one),
     "spectrum": ("majorization_report", _failed_spectrum),
 }

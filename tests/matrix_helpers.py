@@ -3,9 +3,9 @@
 The package builds its matrices from graphs; these plain functions give the
 tests the zero and identity matrices, principal submatrices, the adjugate
 and matrix-vector products of a RationalMatrix, the Schur complement L_X
-built from the Laplacian alone, the reference route of the deletion
-oracle on integer rows, and the spanning-tree list behind the reference
-route of the weighted corollary.
+built from the Laplacian alone, every deletion minor of integer rows (a
+reference route for the closed-form tree count), and the spanning-tree
+list behind the reference route of the weighted corollary.
 """
 
 from collections import Counter
@@ -87,12 +87,12 @@ def schur_LX(g: BipartiteGraph) -> RationalMatrix:
 
 
 def every_deletion_minor(lap: list[list[int]], t: int) -> int:
-    """Reference deletion oracle: generic bareiss_det of the minor at every index 1..N-1.
+    """Generic bareiss_det of the minor at every index 1..N-1 of lap.
 
     Each must equal t, the minor at index 0, or IdentityViolation is raised;
-    returns t.  It makes no use of row or column sums, so it checks the
-    one-minor oracle of tau_matrix_tree by a route that does not rely on
-    the cofactor lemma.
+    returns t.  It makes no use of row or column sums, so the tests check
+    the closed form of tau_matrix_tree against every deletion of the
+    Laplacian without relying on the cofactor lemma.
     """
     for drop in range(1, len(lap)):
         minor = [row[:drop] + row[drop + 1 :] for r, row in enumerate(lap) if r != drop]

@@ -300,6 +300,11 @@ class TestCorollaryVerb:
         assert main(["corollary"]) == 0
         assert json.loads(capsys.readouterr().out) == {"ok": True}
 
+    def test_plain_decimal_weights(self, monkeypatch, capsys):
+        feed(monkeypatch, K22_TEXT + "0.5 2 3.25 1\n")
+        assert main(["corollary"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"ok": True}
+
     def test_biadj_graph_section(self, monkeypatch, capsys):
         feed(monkeypatch, "11\n11\n1 1 1 1\n")
         assert main(["corollary"]) == 0
@@ -339,6 +344,14 @@ class TestErrorPaths:
 
     def test_missing_file(self, tmp_path):
         assert main(["tau", str(tmp_path / "nope.txt")]) == 2
+
+    @pytest.mark.parametrize("weight", ["1e2", "2E-1", "1e2000000"])
+    def test_exponent_weight_is_input_error(self, monkeypatch, capsys, weight):
+        # Fraction expands an exponent digit by digit, so 11 bytes could cost
+        # seconds; the weight is refused before it is parsed.
+        feed(monkeypatch, K22_TEXT + f"1/2 {weight} 3 1\n")
+        assert main(["corollary"]) == 2
+        assert repr(weight) in capsys.readouterr().err
 
     def test_zero_denominator_weight_is_input_error(self, monkeypatch, capsys):
         # Fraction("1/0") raises ZeroDivisionError; exit 1 is kept for failed checks.

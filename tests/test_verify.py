@@ -3,6 +3,7 @@
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -121,12 +122,6 @@ class TestVerifyGraph:
             assert rec.majorizes and rec.reduction_ok
         with pytest.raises(AssertionError, match="eigen_sym"):
             majorization_report(graphs[0])
-
-    def test_tau_passed_in_is_used(self):
-        assert verify_graph(HEX, tau=6) == verify_graph(HEX)
-        rec = verify_graph(HEX, tau=8)
-        assert rec.tau == 8
-        assert not rec.inequality_ok and not rec.reduction_ok and rec.majorizes
 
     def test_equality_cases(self):
         for g in (K22, K23, STAIR, BipartiteGraph(1, 1, (1,))):
@@ -355,7 +350,7 @@ class TestCampaigns:
 
     @pytest.mark.parametrize(
         "category",
-        ["inequality", "equality", "reduction", "majorization", "deletion", "oracle", "spectrum"],
+        ["inequality", "equality", "reduction", "majorization", "oracle", "spectrum"],
     )
     def test_each_failure_category_fires(self, corrupt, category):
         corrupt(category)
@@ -376,42 +371,47 @@ class TestCampaigns:
         with pytest.raises(TheoremViolation, match=category):
             verify_pairs([(2, 2)], oracle_edge_cap=14)
 
-    def test_wrong_closed_form_counts_deletion_on_every_graph(self, monkeypatch):
-        # The tree count eliminates the X block in closed form; the deletion
-        # oracle's generic minors are the independent route that catches it.
+    def test_wrong_closed_form_counts_oracle_on_every_graph(self, monkeypatch):
+        # The tree count eliminates one side in closed form; the brute-force
+        # count, which reads only the edge list, is the independent route.
         exact = trees._minor_det_at_0
         monkeypatch.setattr(trees, "_minor_det_at_0", lambda lap, k: exact(lap, k) + 1)
         s = verify_pairs([(3, 3)], oracle_edge_cap=14, fail_fast=False)
         assert s.oracle_checked == s.graphs_checked > 0
-        assert s.failure_counts["deletion"] == s.graphs_checked
+        assert s.failure_counts["oracle"] == s.graphs_checked
 
-    def test_laplacian_row_sum_fault_counts_deletion_on_every_graph(self, monkeypatch):
+    def test_laplacian_row_sum_fault_changes_no_record(self, monkeypatch):
         # Diagonal +1 at x_0 leaves the minor at x_0, and so every verdict,
-        # unchanged; the deletion oracle's row-sum check catches it.
+        # unchanged: no category fires and every record is the sound one.
+        sound = []
+        verify_pairs([(3, 3)], oracle_edge_cap=14, fail_fast=False, emit=sound.append)
+
         def heavier_x0(g):
             rows = linalg.laplacian_rows(g)
             rows[0][0] += 1
             return rows
 
         monkeypatch.setattr(trees, "laplacian_rows", heavier_x0)
-        s = verify_pairs([(3, 3)], oracle_edge_cap=14, fail_fast=False)
-        assert s.oracle_checked == s.graphs_checked > 0
-        assert s.failure_counts == {"deletion": s.graphs_checked}
+        faulty = []
+        s = verify_pairs([(3, 3)], oracle_edge_cap=14, fail_fast=False, emit=faulty.append)
+        assert s.oracle_checked == s.graphs_checked == len(sound) > 0
+        assert s.failure_counts == {}
+        assert faulty == sound
 
     def test_oracled_graphs_compute_tau_once(self, monkeypatch):
         calls = []
 
-        def counting(g, *, check_all_deletions=False):
-            calls.append(check_all_deletions)
-            return trees.tau_matrix_tree(g, check_all_deletions=check_all_deletions)
+        def counting(g):
+            calls.append(g)
+            return trees.tau_matrix_tree(g)
 
         monkeypatch.setattr("ferrers.verify.tau_matrix_tree", counting)
         s = verify_pairs([(2, 3)], oracle_edge_cap=14, fail_fast=False)
         assert s.oracle_checked == s.graphs_checked > 0
-        assert calls == [True] * s.graphs_checked
+        assert calls == list(enumerate_connected(2, 3))
         calls.clear()
         verify_pairs([(2, 3)], fail_fast=False)
-        assert calls == [False] * s.graphs_checked
+        assert calls == list(enumerate_connected(2, 3))
 
     def test_jacobi_report_runs_once_per_distinct_input(self, monkeypatch):
         # Graphs that differ only in the order of Y give the report the same
@@ -465,8 +465,8 @@ class TestCampaigns:
     @pytest.mark.parametrize("oracle_edge_cap", [None, 14])
     def test_tree_count_error_is_tallied_on_its_graph(self, monkeypatch, oracle_edge_cap):
         # The closed form raises on K_{2,2} only: a tally campaign counts
-        # "tau" on it (and "deletion" where the oracle ran) and goes on;
-        # fail-fast raises with the graph named.
+        # "tau" on it, with or without the oracles, and goes on; fail-fast
+        # raises with the graph named.
         exact = trees._minor_det_at_0
 
         def broken_on_k22(lap, k):
@@ -480,8 +480,7 @@ class TestCampaigns:
             [(2, 2)], oracle_edge_cap=oracle_edge_cap, fail_fast=False, emit=records.append
         )
         assert s.graphs_checked == 5
-        tau_failures = {"tau": 1} if oracle_edge_cap is None else {"tau": 1, "deletion": 1}
-        assert s.failure_counts == tau_failures
+        assert s.failure_counts == {"tau": 1}
         head, text = s.failure_examples["tau"].split(":\n", 1)
         assert head.startswith("tau") and text == write_graph(K22)
         assert len(records) == 4 and write_graph(K22) not in [r["graph"] for r in records]
@@ -740,6 +739,55 @@ def _minors_without_division(rows):
 _D_M_READERS = ("verify", "trees", "spectral")
 
 
+_FAULT_PAIRS = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "modules,name,fake,fired",
+    [
+        pytest.param(
+            ("trees",), "laplacian_rows", _laplacian_with(_raise_x0_diagonal),
+            {"inequality": 21, "reduction": 21, "oracle": 21, "equality": 15},
+            id="laplacian-diagonal-x0",
+        ),
+        pytest.param(
+            ("trees",), "laplacian_rows", _laplacian_with(_drop_last_edge),
+            {"reduction": 253, "oracle": 253, "equality": 109}, id="laplacian-drops-edge",
+        ),
+        pytest.param(
+            ("trees",), "laplacian_rows", _laplacian_with(_drop_last_pair),
+            {"reduction": 231, "oracle": 231, "inequality": 231, "equality": 99},
+            id="laplacian-drops-pair",
+        ),
+        pytest.param(
+            ("trees", "verify"), "bareiss_det", _det_plus_one_above_4,
+            {}, id="det-plus-one-above-4",
+        ),
+        pytest.param(
+            _D_M_READERS, "scaled_schur", _schur_without_diagonal_term,
+            {"reduction": 253, "majorization": 253, "spectrum": 253},
+            id="schur-without-diagonal-term",
+        ),
+        pytest.param(
+            ("verify", "linalg", "trees", "spectral"), "degrees", _a0_plus_one,
+            {"reduction": 253, "majorization": 250, "spectrum": 214, "equality": 109},
+            id="degrees-a0-plus-one",
+        ),
+        pytest.param(
+            ("spectral",), "leading_minors", _minors_without_division,
+            {"reduction": 225}, id="minors-without-division",
+        ),
+        pytest.param(
+            ("trees", "verify"), "bareiss_det", _det_without_sign, {},
+            id="det-without-sign",
+        ),
+        pytest.param(
+            _D_M_READERS, "scaled_schur", _asymmetric_schur,
+            {"majorization": 250, "spectrum": 250, "reduction": 244},
+            id="asymmetric-rows",
+        ),
+    ],
+)
 class TestFaultMatrix:
     """One small bug in one layer, injected by rebinding its name in every
     module that imports it.  A tally campaign over every pair with m, n <= 3
@@ -747,66 +795,38 @@ class TestFaultMatrix:
     category catches.  The eigensolver's ValueError on asymmetric rows is
     counted as "spectrum", so that campaign goes on as well.
 
-    ROADMAP item 6 has the same table over m, n <= 4 and m*n <= 12, where
-    every row fires the same categories.  bareiss_det + 1 above dimension 4
-    reaches only the deletion oracle's generic minor of size m+n-1: the tree
-    count runs Bareiss on a min(m, n) square block, and the reduction reads
-    det(D*M) from leading_minors.  A raised x_0 diagonal reaches the count
-    where n > m, since the minor is then taken at y_0 and keeps x_0.
+    Over all 5743 connected graphs with m*n <= 12 each row fires the same
+    categories (ROADMAP item 12).  bareiss_det + 1 above dimension 4 reaches no check: the tree count runs
+    Bareiss on a min(m, n) square block, and the reduction reads det(D*M)
+    from leading_minors.  A raised x_0 diagonal reaches the count where
+    n > m, since the minor is then taken at y_0 and keeps x_0; elsewhere it
+    changes no record.  Every record a fault changes or loses is caught.
     """
 
-    @pytest.mark.parametrize(
-        "modules,name,fake,fired",
-        [
-            pytest.param(
-                ("trees",), "laplacian_rows", _laplacian_with(_raise_x0_diagonal),
-                {"deletion": 253, "inequality": 21, "reduction": 21, "oracle": 21,
-                 "equality": 15},
-                id="laplacian-diagonal-x0",
-            ),
-            pytest.param(
-                ("trees",), "laplacian_rows", _laplacian_with(_drop_last_edge),
-                {"reduction": 253, "oracle": 253, "equality": 109}, id="laplacian-drops-edge",
-            ),
-            pytest.param(
-                ("trees",), "laplacian_rows", _laplacian_with(_drop_last_pair),
-                {"deletion": 253, "reduction": 231, "oracle": 231, "inequality": 231,
-                 "equality": 99},
-                id="laplacian-drops-pair",
-            ),
-            pytest.param(
-                ("trees", "verify"), "bareiss_det", _det_plus_one_above_4,
-                {"deletion": 205}, id="det-plus-one-above-4",
-            ),
-            pytest.param(
-                _D_M_READERS, "scaled_schur", _schur_without_diagonal_term,
-                {"reduction": 253, "majorization": 253, "spectrum": 253},
-                id="schur-without-diagonal-term",
-            ),
-            pytest.param(
-                ("verify", "linalg", "trees", "spectral"), "degrees", _a0_plus_one,
-                {"reduction": 253, "majorization": 250, "spectrum": 214, "equality": 109},
-                id="degrees-a0-plus-one",
-            ),
-            pytest.param(
-                ("spectral",), "leading_minors", _minors_without_division,
-                {"reduction": 225}, id="minors-without-division",
-            ),
-            pytest.param(
-                ("trees", "verify"), "bareiss_det", _det_without_sign, {},
-                id="det-without-sign",
-            ),
-            pytest.param(
-                _D_M_READERS, "scaled_schur", _asymmetric_schur,
-                {"majorization": 250, "spectrum": 250, "reduction": 244},
-                id="asymmetric-rows",
-            ),
-        ],
-    )
     def test_categories_that_fire(self, monkeypatch, modules, name, fake, fired):
         for module in modules:
             monkeypatch.setattr(f"ferrers.{module}.{name}", fake)
-        pairs = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
-        s = verify_pairs(pairs, oracle_edge_cap=14, fail_fast=False)
+        s = verify_pairs(_FAULT_PAIRS, oracle_edge_cap=14, fail_fast=False)
         assert s.graphs_checked == s.oracle_checked == 253
         assert s.failure_counts == fired
+
+    def test_every_changed_record_is_caught(self, monkeypatch, modules, name, fake, fired):
+        # What lets a cross-check go: a graph whose record the fault loses or
+        # changes must fail some category.  A fault that changes no record
+        # may go unseen.  One Jacobi memo per pair, as a campaign chunk keeps.
+        sound = {
+            g: record_dict(verify_graph(g)) for m, n in _FAULT_PAIRS for g in enumerate_connected(m, n)
+        }
+        for module in modules:
+            monkeypatch.setattr(f"ferrers.{module}.{name}", fake)
+        counts = Counter()
+        for m, n in _FAULT_PAIRS:
+            passed = set()
+            for g in enumerate_connected(m, n):
+                rec, bad, used_oracle = _examine(g, 14, False, passed)
+                assert used_oracle
+                if rec is None or record_dict(rec) != sound[g]:
+                    assert bad, write_graph(g)
+                counts.update(bad)
+        assert len(sound) == 253
+        assert counts == fired
