@@ -221,6 +221,7 @@ class TestMatrixTree:
             tau_matrix_tree(g)
             assert sizes == [min(g.m, g.n)], (g.m, g.n)
 
+    @pytest.mark.parametrize("reversed_labels", [False, True])
     @pytest.mark.parametrize(
         "g",
         [
@@ -229,8 +230,16 @@ class TestMatrixTree:
         ],
         ids=["isolated-x", "isolated-y"],
     )
-    def test_isolated_vertex_builds_no_matrix(self, monkeypatch, g):
-        # A header alone must not make the count allocate (m+n)^2 entries.
+    def test_isolated_vertex_builds_no_matrix(self, monkeypatch, g, reversed_labels):
+        # A header alone must not make the count allocate (m+n)^2 entries,
+        # wherever the isolated vertices sit: reversing both sides' labels
+        # moves them from the end of each side to its start.
+        if reversed_labels:
+            g = BipartiteGraph(
+                g.m, g.n, tuple(int(format(t, f"0{g.m}b")[::-1], 2) for t in reversed(g.nbrs))
+            )
+            assert not g.nbrs[0] & 1  # x_0 is in no neighborhood, or y_0 has none
+
         def refuse(g):
             raise AssertionError("tau_matrix_tree built the Laplacian")
 
