@@ -6,8 +6,8 @@ exactly for the staircase graphs whose Y-neighborhoods nest.  Everything on
 the certified path runs over integers or Fractions, the spectral
 majorization step included (certify_majorization: Ky Fan's maximum
 principle and Sylvester's criterion, checked in integers).  Floating point
-appears only in the Jacobi eigensolver, which reports the spectrum and
-cross-checks that certificate; no verdict reads it.
+appears only in the Jacobi eigensolver, which reports the spectrum (the
+spectrum verb, kyfan_check); no verdict and no campaign reads it.
 """
 
 from .errors import (

@@ -309,32 +309,29 @@ def certify_majorization(
     return minors
 
 
-def majorization_report(
-    g: BipartiteGraph,
-    *,
-    scaled: ScaledRows | None = None,
-) -> SpectralReport:
+def majorization_report(g: BipartiteGraph) -> SpectralReport:
     """Float cross-check: the Jacobi spectrum of M against the sorted X-degrees.
 
     certify_majorization decides the same claims exactly; this report shows
-    the eigenvalues and serves the spectrum verb and the oracle tier of a
-    campaign.  [k] is the set of the k highest-degree X-vertices (ties broken by index).
+    the eigenvalues and serves the spectrum verb.  No campaign runs it: on
+    rows that pass the certificate, Ky Fan's maximum principle already
+    implies every check below, up to rounding.
+    [k] is the set of the k highest-degree X-vertices (ties broken by index).
     Each partial eigenvalue sum must exceed the matching degree sum by at
     least the total overlap defect of [k] against the neighborhoods, the
     traces must agree, and the smallest eigenvalue must stay positive.  Any
     failure raises with the offending graph serialized, since it would
-    contradict the tree-count bound itself.  scaled may be passed in when
-    already computed, and must then be the (D, rows, degrees) triple of
+    contradict the tree-count bound itself.  The rows and degrees come from
     scaled_schur(g), which refuses a disconnected graph; the eigensolver
-    gets the rows divided by D as floats.  Each defect sum is one
-    exact Fraction over k * L, with L the lcm of the neighborhood sizes in
-    those degrees, so the lower bound does not depend on the rows passed in.
+    gets the rows divided by D as floats.  Each defect sum is one exact
+    Fraction over k * L, with L the lcm of the neighborhood sizes, so the
+    lower bound does not read the rows.
 
     Tolerances follow the module rule: partial sums, defects and the smallest
     eigenvalue allow an absolute FLOAT_TOL; the trace gap allows
     FLOAT_TOL * max(1, sum(a)), both for majorizes and for the raise.
     """
-    den, rows, dd = scaled_schur(g) if scaled is None else scaled
+    den, rows, dd = scaled_schur(g)
     spectrum = eigen_sym([[x / den for x in row] for row in rows])
     order, lcm_b, numers = _prefix_defects(g, dd)
     a_sorted = tuple(dd.a[i] for i in order)

@@ -49,6 +49,16 @@ def _minor_det_at_0(lap: list[list[int]], k: int) -> int:
     return t
 
 
+def _covered(g: BipartiteGraph) -> bool:
+    """No empty neighborhood, and the neighborhoods cover X: no vertex is isolated."""
+    covered = 0
+    for t in g.nbrs:
+        if not t:
+            return False
+        covered |= t
+    return covered == (1 << g.m) - 1
+
+
 def tau_matrix_tree(g: BipartiteGraph) -> int:
     """Number of spanning trees, as a Laplacian minor determinant.
 
@@ -65,12 +75,7 @@ def tau_matrix_tree(g: BipartiteGraph) -> int:
     is a hard error.  Disconnected graphs give 0, not an error.  Campaigns
     check the count against tau_brute_force, which reads only g.edges().
     """
-    covered = 0
-    for t in g.nbrs:
-        if not t:
-            return 0
-        covered |= t
-    if covered != (1 << g.m) - 1:
+    if not _covered(g):
         return 0
     lap = laplacian_rows(g)
     k = g.m
@@ -119,11 +124,13 @@ def ferrers_invariant(g: BipartiteGraph, *, dd: DegreeData | None = None) -> Fra
     """Degree product over m*n, the exact value that bounds the tree count.
 
     dd may be passed in when the degrees of g are already counted, such as
-    the degrees scaled_schur returns; otherwise they are counted here.
+    the degrees scaled_schur returns; otherwise they are counted here, after
+    _covered refuses an isolated vertex, so a header alone cannot make the
+    count allocate m entries.
     """
-    if dd is None:
+    if dd is None and _covered(g):
         dd = degrees(g)
-    if 0 in dd.a or 0 in dd.b:
+    if dd is None or 0 in dd.a or 0 in dd.b:
         raise IsolatedVertex("degree-zero vertex, the degree product is degenerate")
     return Fraction(prod(dd.a) * prod(dd.b), g.m * g.n)
 

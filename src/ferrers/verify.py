@@ -3,8 +3,11 @@
 verify_graph checks a single connected graph with exact arithmetic;
 verify_pairs runs exhaustive labeled enumerations, aborts on the first
 violation (or tallies them all), and can split mask ranges across worker
-processes.  A violation here would be a counterexample, so the
-offending graph is always serialized into the error.
+processes.  A campaign computes no eigenvalue: each category it tallies
+(inequality, equality, reduction, majorization, the brute-force "oracle",
+and a tree count's own "tau" error) is decided in exact arithmetic; the
+Jacobi report stays with the spectrum verb.  A violation here would be a
+counterexample, so the offending graph is always serialized into the error.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from functools import partial
 from math import lcm, prod
 from typing import Callable, Iterable, Sequence
 
-from .errors import CapExceeded, IdentityViolation, NonConvergence, TheoremViolation
+from .errors import CapExceeded, IdentityViolation, TheoremViolation
 from .graphs import (
     DEFAULT_CAP,
     BipartiteGraph,
@@ -31,9 +34,10 @@ from .graphs import (
     is_ferrers,
     write_graph,
 )
-from .linalg import ScaledRows, bareiss_det, laplacian_rows, rat_str, scaled_schur
+from .linalg import bareiss_det, laplacian_rows, rat_str, scaled_schur
 from .linalg import matrix_M  # noqa: F401  (uncalled here; perfbench/spans.py rebinds it)
-from .spectral import certify_majorization, majorization_report
+from .spectral import certify_majorization
+from .spectral import majorization_report  # noqa: F401  (uncalled here; perfbench/spans.py rebinds it)
 from .trees import check_reduction, ferrers_invariant, tau_brute_force, tau_matrix_tree
 
 
@@ -76,7 +80,7 @@ def record_dict(rec: VerificationRecord) -> dict:
     }
 
 
-def verify_graph(g: BipartiteGraph, *, scaled: ScaledRows | None = None) -> VerificationRecord:
+def verify_graph(g: BipartiteGraph) -> VerificationRecord:
     """Verify one connected graph: bound, equality vs staircase shape, cross-checks.
 
     The inequality and equality verdicts compare tau against
@@ -86,14 +90,11 @@ def verify_graph(g: BipartiteGraph, *, scaled: ScaledRows | None = None) -> Veri
     on the integer rows of D*M built once by scaled_schur, and land in their
     boolean fields; no eigenvalue is computed.  The certificate's no-swap
     elimination gives det(D*M) to the reduction, which takes the determinant
-    with row swaps itself when the certificate fails.  scaled may be passed
-    in when already computed; it must be the (D, rows, degrees) triple of
-    scaled_schur(g), and the checks read the degrees from it.  scaled_schur
-    refuses a disconnected graph with DisconnectedGraph, before the tree
-    count is taken.
+    with row swaps itself when the certificate fails.  scaled_schur refuses
+    a disconnected graph with DisconnectedGraph, before the tree count is
+    taken.
     """
-    if scaled is None:
-        scaled = scaled_schur(g)
+    scaled = scaled_schur(g)
     tau = tau_matrix_tree(g)
     try:
         det = certify_majorization(g, scaled=scaled)[-1]
@@ -126,10 +127,8 @@ class CampaignSummary:
     pair.  failure_counts (a Counter) and failure_examples hold the failed
     checks by category; they stay empty on the fail-fast path, where the
     campaign aborts instead.  violations is their total.  oracle_checked counts
-    graphs that also went through the brute-force tree count and the Jacobi
-    spectrum cross-check.  A graph whose Jacobi report input already passed
-    in its chunk counts as checked without a new solve.  A chunk
-    leaves wall_time at 0; the campaign sets its own.
+    graphs whose tree count was also checked against the brute-force count.
+    A chunk leaves wall_time at 0; the campaign sets its own.
     """
 
     dims: tuple[int, int]
@@ -171,57 +170,33 @@ def summary_dict(s: CampaignSummary) -> dict:
 
 
 def _examine(
-    g: BipartiteGraph, oracle_edge_cap: int | None, fail_fast: bool, passed: set
+    g: BipartiteGraph, oracle_edge_cap: int | None, fail_fast: bool
 ) -> tuple[VerificationRecord | None, list[str], bool]:
-    """Record and failed categories for one graph, and whether the oracles ran.
+    """Record and failed categories for one graph, and whether the oracle ran.
 
-    The rows of D*M are built once for the record and, on an oracled graph,
-    for the Jacobi report.  The brute-force count reads only g.edges(), so
-    it shares no code with the Laplacian minor it checks.  The report is the
-    float cross-check of the exact majorization certificate; an
-    IdentityViolation there counts as "spectrum".  It runs once per
-    distinct input: passed holds the inputs that already passed in this
-    chunk, keyed on everything the report reads (D, the rows of D*M, the
-    X-degrees and the multiset of (neighborhood, y-degree) pairs), so an
-    equal key gives the same float computation and verdict.  Graphs that
-    differ only in the order of Y share a key.  A failure is not stored, so
-    it is recomputed, and counted and named, on every graph that has it.
+    On a graph with at most oracle_edge_cap edges the record's tree count is
+    compared with tau_brute_force, which reads only g.edges(), so it shares
+    no code with the Laplacian minor it checks.  No eigenvalue is computed:
+    the majorization verdict is the record's exact certificate.
 
     Without fail_fast one graph's hard error is a category too, so a tally
     campaign goes on: an IdentityViolation from verify_graph, whose only
     uncaught one is its own tree count's, counts as "tau" and leaves the
-    graph without a record (and without the brute-force comparison); a
-    ValueError or NonConvergence from the report counts as "spectrum".
-    With fail_fast they propagate.
+    graph without a record (and without the brute-force comparison).  With
+    fail_fast it propagates.
     """
     oracled = oracle_edge_cap is not None and g.edge_count <= oracle_edge_cap
-    scaled = scaled_schur(g) if oracled else None
     try:
-        rec = verify_graph(g, scaled=scaled)
+        rec = verify_graph(g)
         bad = rec.failures
     except IdentityViolation:
         if fail_fast:
             raise
         rec = None
         bad = ["tau"]
-    if not oracled:
-        return rec, bad, False
-    if rec is not None and tau_brute_force(g, cap=oracle_edge_cap) != rec.tau:
+    if oracled and rec is not None and tau_brute_force(g, cap=oracle_edge_cap) != rec.tau:
         bad.append("oracle")
-    den, rows, dd = scaled
-    key = (den, tuple(map(tuple, rows)), dd.a, tuple(sorted(zip(g.nbrs, dd.b))))
-    if key in passed:
-        return rec, bad, True
-    try:
-        majorization_report(g, scaled=scaled)
-        passed.add(key)
-    except IdentityViolation:
-        bad.append("spectrum")
-    except (ValueError, NonConvergence):
-        if fail_fast:
-            raise
-        bad.append("spectrum")
-    return rec, bad, True
+    return rec, bad, oracled
 
 
 def _run_chunk(
@@ -230,13 +205,12 @@ def _run_chunk(
     m, n, lo, hi = chunk
     tally = CampaignSummary((m, n))
     records: list[dict] | None = [] if collect else None
-    passed: set = set()  # Jacobi report inputs that passed in this chunk
     for mask in range(lo, hi):
         if not _mask_connected(m, n, mask):
             continue
         g = graph_from_mask(m, n, mask)
         try:
-            rec, bad, used_oracle = _examine(g, oracle_edge_cap, fail_fast, passed)
+            rec, bad, used_oracle = _examine(g, oracle_edge_cap, fail_fast)
         except Exception as exc:  # same type, so callers still catch it; now it names g
             raise type(exc)(f"{exc} for:\n{write_graph(g)}") from exc
         tally.graphs_checked += 1
@@ -273,12 +247,10 @@ def verify_pairs(
 
     Each (m, n) pair must respect the enumeration cap.  With fail_fast the
     first violating graph aborts the whole campaign inside a TheoremViolation;
-    otherwise violations are tallied per category, and so are a tree count's
-    IdentityViolation ("tau") and the Jacobi report's ValueError or
-    NonConvergence ("spectrum").  oracle_edge_cap turns on the brute-force
-    tree count and the Jacobi spectrum cross-check for graphs with at most
-    that many edges.  The Jacobi report runs once per distinct input per
-    chunk, and a failing input is recomputed on every graph.
+    otherwise violations are tallied per category, and so is a tree count's
+    IdentityViolation ("tau").  oracle_edge_cap turns on the brute-force
+    tree count for graphs with at most that many edges.  No eigenvalue is
+    computed: majorization is decided by the exact certificate.
     emit receives one JSON-ready record per graph that has one: a graph
     whose tree count failed has none.
     The masks are cut into chunks (m, n, lo, hi), and one loop absorbs each

@@ -29,10 +29,6 @@ def _failed_certificate(g, *, scaled=None):
     raise IdentityViolation("corrupted majorization certificate")
 
 
-def _failed_spectrum(g, *, scaled=None):
-    raise IdentityViolation("corrupted Jacobi spectrum")
-
-
 def _brute_force_plus_one(g, *, cap=DEFAULT_CAP):
     return trees.tau_brute_force(g, cap=cap) + 1
 
@@ -43,7 +39,6 @@ CORRUPTIONS = {
     "reduction": ("check_reduction", _failed_reduction),
     "majorization": ("certify_majorization", _failed_certificate),
     "oracle": ("tau_brute_force", _brute_force_plus_one),
-    "spectrum": ("majorization_report", _failed_spectrum),
 }
 
 

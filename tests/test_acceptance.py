@@ -8,8 +8,9 @@ gives an auditable checklist.  Criteria 1, 2, 3, 5 and 6 share one exhaustive
 sweep over every connected labeled bipartite graph with m*n <= 16, run once
 per session in tally mode with the brute-force oracle enabled up to 14 edges.
 Exact claims are compared as integers or rationals with zero tolerance; the
-floating eigenvalue claims (the Jacobi cross-check on oracled graphs, the
-hexagon spot check, criterion 7) carry an explicit 1e-9.
+floating eigenvalue claims (the Jacobi report on each of the 550 relabeling
+classes with m*n <= 16, the hexagon spot check, criterion 7) carry an
+explicit 1e-9.
 """
 
 import random
@@ -18,6 +19,7 @@ from math import prod
 
 import pytest
 
+from ferrers.errors import IdentityViolation, NonConvergence
 from ferrers.graphs import (
     BipartiteGraph,
     PartitionSpec,
@@ -163,10 +165,19 @@ def test_criterion_5_projection_algebra(sweep):
 
 
 def test_criterion_6_majorization_certificate(sweep):
-    # "majorization" is the exact integer certificate, run on every graph;
-    # "spectrum" is the Jacobi cross-check at FLOAT_TOL, run on oracled graphs.
+    # "majorization" is the exact integer certificate, run on every graph of
+    # the sweep.  The Jacobi report is the float cross-check, off the
+    # campaign: relabeling only permutes M, so one graph per class suffices.
     exact_bad = sweep.failure_counts.get("majorization", 0)
-    float_bad = sweep.failure_counts.get("spectrum", 0)
+    classes = [
+        g for m, n in SWEEP_PAIRS for g in enumerate_connected(m, n, cap=16, dedupe=True)
+    ]
+    float_bad = 0
+    for g in classes:
+        try:
+            float_bad += not majorization_report(g).majorizes
+        except (IdentityViolation, NonConvergence):
+            float_bad += 1
     rep = majorization_report(HEX)
     spot = (
         rep.spectrum.values[0] == pytest.approx(3.0, abs=FLOAT_TOL)
@@ -180,9 +191,8 @@ def test_criterion_6_majorization_certificate(sweep):
         exact_bad == 0 and float_bad == 0 and spot,
         f"exact: Ky Fan prefix identities and positive leading minors of D*M on all "
         f"{sweep.graphs_checked} graphs, {exact_bad} majorization failures; float: "
-        f"Jacobi partial sums beat degree sums plus defects on {sweep.oracle_checked} "
-        f"oracled graphs at 1e-9, {float_bad} spectrum failures; "
-        f"hexagon spectrum (3, 1.5, 1.5) confirmed",
+        f"Jacobi partial sums beat degree sums plus defects at 1e-9, {float_bad} failures, "
+        f"on {len(classes)} relabeling classes; hexagon spectrum (3, 1.5, 1.5) confirmed",
     )
 
 

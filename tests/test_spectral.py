@@ -280,9 +280,14 @@ class TestMajorization:
         with pytest.raises(DisconnectedGraph):
             majorization_report(BipartiteGraph(2, 2, (0b01, 0b10)))
 
-    def test_precomputed_matrix_accepted(self):
-        rep = majorization_report(HEX, scaled=scaled_schur(HEX))
+    def test_precomputed_matrix_accepted(self, monkeypatch):
+        # The report reads its rows and degrees from scaled_schur alone.
+        triple = scaled_schur(HEX)
+        sound = report_dict(majorization_report(HEX))
+        monkeypatch.setattr("ferrers.spectral.scaled_schur", lambda g: triple)
+        rep = majorization_report(HEX)
         assert rep.majorizes
+        assert report_dict(rep) == sound
 
     def test_gap_dominates_defect_everywhere(self):
         # The report itself raises if the exact lower bound is violated;
@@ -306,18 +311,20 @@ class TestMajorization:
             [q * x + (p * den if i == k else 0) for k, x in enumerate(row)]
             for i, row in enumerate(rows)
         ]
-        rep = majorization_report(HEX, scaled=(den * q, perturbed, dd))
+        monkeypatch.setattr("ferrers.spectral.scaled_schur", lambda g: (den * q, perturbed, dd))
+        rep = majorization_report(HEX)
         assert tol < rep.trace_gap < 6 * tol
         assert rep.majorizes
         monkeypatch.setattr("ferrers.spectral.FLOAT_TOL", 1e-10)
         with pytest.raises(IdentityViolation, match="trace gap"):
-            majorization_report(HEX, scaled=(den * q, perturbed, dd))
+            majorization_report(HEX)
 
-    def test_wrong_matrix_caught(self):
+    def test_wrong_matrix_caught(self, monkeypatch):
         # Feeding the wrong M must trip one of the exact consistency checks.
         identity = [[1 if i == k else 0 for k in range(3)] for i in range(3)]
+        monkeypatch.setattr("ferrers.spectral.scaled_schur", lambda g: (1, identity, degrees(HEX)))
         with pytest.raises(IdentityViolation):
-            majorization_report(HEX, scaled=(1, identity, degrees(HEX)))
+            majorization_report(HEX)
 
     def test_defect_sums_match_overlap_defect(self):
         # Reference: the defect sum at k adds overlap_defect of the top-k

@@ -315,6 +315,15 @@ class TestInvariant:
         with pytest.raises(IsolatedVertex):
             ferrers_invariant(BipartiteGraph(2, 1, (0b01,)))
 
+    def test_isolated_vertex_counts_no_degrees(self, monkeypatch):
+        # A header alone must not make the invariant allocate m degree counts.
+        def refuse(g):
+            raise AssertionError("ferrers_invariant counted the degrees")
+
+        monkeypatch.setattr(ferrers.trees, "degrees", refuse)
+        with pytest.raises(IsolatedVertex, match="degree-zero vertex"):
+            ferrers_invariant(BipartiteGraph(10**7, 1, (1,)))
+
     @pytest.mark.parametrize("m,n", list(product(range(1, 5), range(1, 5))))
     def test_complete_bipartite_attains_tree_count(self, m, n):
         g = complete(m, n)

@@ -16,7 +16,6 @@ from ferrers.errors import (
     CapExceeded,
     DisconnectedGraph,
     IdentityViolation,
-    NonConvergence,
     TheoremViolation,
 )
 from ferrers.graphs import (
@@ -123,6 +122,17 @@ class TestVerifyGraph:
         with pytest.raises(AssertionError, match="eigen_sym"):
             majorization_report(graphs[0])
 
+    def test_tally_campaign_computes_no_eigenvalue(self, monkeypatch):
+        # The oracles on a campaign are the brute-force count alone; majorization
+        # is the exact certificate, so the Jacobi eigensolver stays off here too.
+        def refuse(mat):
+            raise AssertionError("a campaign called eigen_sym")
+
+        monkeypatch.setattr("ferrers.spectral.eigen_sym", refuse)
+        s = verify_pairs([(3, 3), (2, 5)], oracle_edge_cap=14, fail_fast=False)
+        assert s.oracle_checked == s.graphs_checked > 0
+        assert s.failure_counts == {}
+
     def test_equality_cases(self):
         for g in (K22, K23, STAIR, BipartiteGraph(1, 1, (1,))):
             rec = verify_graph(g)
@@ -184,8 +194,8 @@ class TestSharedDataCounts:
             assert calls == {"degrees": 1, "is_connected": 1}
 
     def test_oracled_graph(self, calls):
-        # The Jacobi report reads the same rows: no guard and no degree count.
-        rec, bad, used_oracle = _examine(HEX, 14, True, set())
+        # The brute-force count reads only the edge list: no guard and no degree count.
+        rec, bad, used_oracle = _examine(HEX, 14, True)
         assert used_oracle and bad == []
         assert calls == {"degrees": 1, "is_connected": 1}
 
@@ -316,12 +326,12 @@ class TestCampaigns:
 
     def test_unexpected_exception_names_its_graph_serial_and_pool(self, monkeypatch):
         # (2,7) spans two chunks of masks, so workers=2 really runs the pool.
-        # A tally campaign counts the report's ValueError as "spectrum"; an
-        # error of no expected type still ends it.
-        def broken(mat):
-            raise ZeroDivisionError("eigensolver broke")
+        # A tally campaign counts a tree count's IdentityViolation as "tau";
+        # an error of no expected type still ends it.
+        def broken(g, *, cap):
+            raise ZeroDivisionError("brute-force count broke")
 
-        monkeypatch.setattr("ferrers.spectral.eigen_sym", broken)
+        monkeypatch.setattr("ferrers.verify.tau_brute_force", broken)
         first = next(
             g for mask in range(1 << 14) if is_connected(g := graph_from_mask(2, 7, mask))
         )
@@ -330,7 +340,7 @@ class TestCampaigns:
             with pytest.raises(ZeroDivisionError) as exc:
                 verify_pairs([(2, 7)], oracle_edge_cap=14, fail_fast=False, workers=workers)
             messages.append(str(exc.value))
-        assert messages[0].startswith("eigensolver broke")
+        assert messages[0].startswith("brute-force count broke")
         assert write_graph(first) in messages[0]
         assert messages[1] == messages[0]
 
@@ -350,7 +360,7 @@ class TestCampaigns:
 
     @pytest.mark.parametrize(
         "category",
-        ["inequality", "equality", "reduction", "majorization", "oracle", "spectrum"],
+        ["inequality", "equality", "reduction", "majorization", "oracle"],
     )
     def test_each_failure_category_fires(self, corrupt, category):
         corrupt(category)
@@ -412,55 +422,6 @@ class TestCampaigns:
         calls.clear()
         verify_pairs([(2, 3)], fail_fast=False)
         assert calls == list(enumerate_connected(2, 3))
-
-    def test_jacobi_report_runs_once_per_distinct_input(self, monkeypatch):
-        # Graphs that differ only in the order of Y give the report the same
-        # rows, degrees and neighborhood multiset; a pass is kept per chunk.
-        runs = []
-        for workers in (None, 2):
-            d = summary_dict(
-                verify_pairs([(3, 4), (2, 7)], oracle_edge_cap=14, workers=workers, fail_fast=False)
-            )
-            del d["wall_time"]
-            runs.append(d)
-        assert runs[1] == runs[0]
-        calls = []
-
-        def counting(g, *, scaled=None):
-            calls.append(g)
-            return majorization_report(g, scaled=scaled)
-
-        monkeypatch.setattr("ferrers.verify.majorization_report", counting)
-        s = verify_pairs([(3, 4)], oracle_edge_cap=14, fail_fast=False)
-        assert s.graphs_checked == s.oracle_checked == 1795
-        assert s.violations == 0
-        distinct = {tuple(sorted(g.nbrs)) for g in enumerate_connected(3, 4)}
-        assert len(calls) == len(distinct) == 135
-
-    def test_report_memo_keys_on_the_rows_not_the_labels(self, monkeypatch):
-        # The hexagon's Y-sibling (0b110, 0b011, 0b101) comes earlier in mask
-        # order with sound rows and passes; only the hexagon's rows are
-        # corrupted, and its report must still run and fail.
-        def corrupt_hexagon(g):
-            return _schur_without_diagonal_term(g) if g.nbrs == HEX.nbrs else linalg.scaled_schur(g)
-
-        monkeypatch.setattr("ferrers.verify.scaled_schur", corrupt_hexagon)
-        s = verify_pairs([(3, 3)], oracle_edge_cap=14, fail_fast=False)
-        assert s.failure_counts == {"reduction": 1, "majorization": 1, "spectrum": 1}
-        assert s.failure_examples["spectrum"].endswith(":\n" + write_graph(HEX))
-
-    def test_spectrum_non_convergence_propagates(self, monkeypatch):
-        # Only fail-fast lets it through; a tally campaign counts it.
-        def stuck(g, *, scaled=None):
-            raise NonConvergence("no convergence after 100 Jacobi sweeps")
-
-        monkeypatch.setattr("ferrers.verify.majorization_report", stuck)
-        assert verify_pairs([(2, 2)], fail_fast=False).violations == 0
-        s = verify_pairs([(2, 2)], oracle_edge_cap=14, fail_fast=False)
-        assert s.graphs_checked == s.oracle_checked == 5
-        assert s.failure_counts == {"spectrum": 5}
-        with pytest.raises(NonConvergence, match="for:\n1 1\n0\n"):
-            verify_pairs([(1, 1)], oracle_edge_cap=14)
 
     @pytest.mark.parametrize("oracle_edge_cap", [None, 14])
     def test_tree_count_error_is_tallied_on_its_graph(self, monkeypatch, oracle_edge_cap):
@@ -765,12 +726,12 @@ _FAULT_PAIRS = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
         ),
         pytest.param(
             _D_M_READERS, "scaled_schur", _schur_without_diagonal_term,
-            {"reduction": 253, "majorization": 253, "spectrum": 253},
+            {"reduction": 253, "majorization": 253},
             id="schur-without-diagonal-term",
         ),
         pytest.param(
             ("verify", "linalg", "trees", "spectral"), "degrees", _a0_plus_one,
-            {"reduction": 253, "majorization": 250, "spectrum": 214, "equality": 109},
+            {"reduction": 253, "majorization": 250, "equality": 109},
             id="degrees-a0-plus-one",
         ),
         pytest.param(
@@ -783,7 +744,7 @@ _FAULT_PAIRS = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
         ),
         pytest.param(
             _D_M_READERS, "scaled_schur", _asymmetric_schur,
-            {"majorization": 250, "spectrum": 250, "reduction": 244},
+            {"majorization": 250, "reduction": 244},
             id="asymmetric-rows",
         ),
     ],
@@ -792,11 +753,12 @@ class TestFaultMatrix:
     """One small bug in one layer, injected by rebinding its name in every
     module that imports it.  A tally campaign over every pair with m, n <= 3
     (253 connected graphs, all oracled at 14 edges) pins the graphs each
-    category catches.  The eigensolver's ValueError on asymmetric rows is
-    counted as "spectrum", so that campaign goes on as well.
+    category catches.  A campaign computes no eigenvalue, so asymmetric rows
+    reach only the exact checks, and that campaign goes on as well.
 
     Over all 5743 connected graphs with m*n <= 12 each row fires the same
-    categories (ROADMAP item 12).  bareiss_det + 1 above dimension 4 reaches no check: the tree count runs
+    categories (ROADMAP item 12), and the Jacobi report, when campaigns ran
+    it, never failed on a graph that no other category caught.  bareiss_det + 1 above dimension 4 reaches no check: the tree count runs
     Bareiss on a min(m, n) square block, and the reduction reads det(D*M)
     from leading_minors.  A raised x_0 diagonal reaches the count where
     n > m, since the minor is then taken at y_0 and keeps x_0; elsewhere it
@@ -813,7 +775,7 @@ class TestFaultMatrix:
     def test_every_changed_record_is_caught(self, monkeypatch, modules, name, fake, fired):
         # What lets a cross-check go: a graph whose record the fault loses or
         # changes must fail some category.  A fault that changes no record
-        # may go unseen.  One Jacobi memo per pair, as a campaign chunk keeps.
+        # may go unseen.
         sound = {
             g: record_dict(verify_graph(g)) for m, n in _FAULT_PAIRS for g in enumerate_connected(m, n)
         }
@@ -821,9 +783,8 @@ class TestFaultMatrix:
             monkeypatch.setattr(f"ferrers.{module}.{name}", fake)
         counts = Counter()
         for m, n in _FAULT_PAIRS:
-            passed = set()
             for g in enumerate_connected(m, n):
-                rec, bad, used_oracle = _examine(g, 14, False, passed)
+                rec, bad, used_oracle = _examine(g, 14, False)
                 assert used_oracle
                 if rec is None or record_dict(rec) != sound[g]:
                     assert bad, write_graph(g)
