@@ -5,9 +5,11 @@ bipartite graph has at most (1/mn) * prod(deg) spanning trees, with equality
 exactly for the staircase graphs whose Y-neighborhoods nest.  Everything on
 the certified path runs over integers or Fractions, the spectral
 majorization step included (certify_majorization: Ky Fan's maximum
-principle and Sylvester's criterion, checked in integers).  Floating point
-appears only in the Jacobi eigensolver, which reports the spectrum (the
-spectrum verb, kyfan_check); no verdict and no campaign reads it.
+principle and Sylvester's criterion, checked in integers), and it is the
+verdict of the spectrum verb too.  Floating point appears only in the
+Jacobi eigensolver, which reports the spectrum beside that verdict and
+serves kyfan_check, the maximum principle on float matrices; no verdict on
+a graph and no campaign reads it.
 """
 
 from .errors import (

@@ -2,12 +2,13 @@
 
 Graphs are read from a file argument or stdin in the neighborhood-list text
 format; a "biadj" or one-field first line switches to 0/1 matrix rows.
-Every verb honors --format json|csv|plain.  check and verify decide every
-verdict exactly; only spectrum compares floats, at the fixed
-spectral.FLOAT_TOL, so no verb takes a tolerance.  overlap refuses m above
-the default cap as an input bound, so that no index can make 1 << index
-large; its identity check is integer work.  Only enumerate and verify take
---cap, a bound on m*n; corollary checks a graph of any size, because its
+Every verb honors --format json|csv|plain.  Every verdict is exact, that
+of spectrum included; spectrum reports the Jacobi eigenvalues as numbers
+beside it, so no verb takes a tolerance.  overlap refuses m above the
+default cap as an input bound, so that no index can make 1 << index large;
+its identity check is integer work.  ferrers-gen refuses a column height
+above the same cap before it builds any bitset.  Only enumerate and verify
+take --cap, a bound on m*n; corollary checks a graph of any size, because its
 tree sum is one integer cofactor and no tree is listed; its weights are
 integers, p/q or plain decimals, and one in exponent notation (1e9) is bad
 input, since its cost to parse grows with the exponent.  Each verb passes
@@ -59,20 +60,19 @@ def _csv_value(value) -> str:
     return _plain_value(value)
 
 
-def emit(payload: dict, fmt: str, out=None) -> None:
-    out = out or sys.stdout
+def emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload), file=out)
+        print(json.dumps(payload))
     elif fmt == "csv":
-        writer = csv.writer(out)
+        writer = csv.writer(sys.stdout)
         writer.writerow(payload.keys())
         writer.writerow([_csv_value(v) for v in payload.values()])
     else:
         if len(payload) == 1:
-            print(_plain_value(next(iter(payload.values()))), file=out)
+            print(_plain_value(next(iter(payload.values()))))
         else:
             for key, value in payload.items():
-                print(f"{key}: {_plain_value(value)}", file=out)
+                print(f"{key}: {_plain_value(value)}")
 
 
 def _read_text(path: str) -> str:
@@ -134,6 +134,8 @@ def _cmd_overlap(args) -> int:
 
 def _cmd_ferrers_gen(args) -> int:
     heights = tuple(int(h) for h in args.heights.split(","))
+    if max(heights) > DEFAULT_CAP:  # before any bitset: write_graph's walk grows as height^2
+        raise CapExceeded(f"height {max(heights)} exceeds the ferrers-gen input cap {DEFAULT_CAP}")
     g = ferrers_from_partition(PartitionSpec(heights))
     emit({"graph": write_graph(g)}, args.format)
     return 0

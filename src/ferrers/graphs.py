@@ -93,16 +93,21 @@ def from_biadjacency(rows: Iterable[Sequence[int]]) -> BipartiteGraph:
     return BipartiteGraph(m, n, tuple(nbrs))
 
 
-def _nbrs_connected(m: int, nbrs: Sequence[int]) -> bool:
-    # Fixpoint reachability over Y-neighborhood bitsets, seeded at x_0.
-    full = (1 << m) - 1
+def _covers(m: int, nbrs: Sequence[int]) -> bool:
+    """No empty neighborhood, and the neighborhoods cover X: no vertex is isolated."""
     union = 0
     for t in nbrs:
-        if t == 0:
+        if not t:
             return False
         union |= t
-    if union != full:
+    return union == (1 << m) - 1
+
+
+def _nbrs_connected(m: int, nbrs: Sequence[int]) -> bool:
+    # Fixpoint reachability over Y-neighborhood bitsets, seeded at x_0.
+    if not _covers(m, nbrs):
         return False
+    full = (1 << m) - 1
     seen_x = 1
     seen_y = 0
     n = len(nbrs)

@@ -247,8 +247,8 @@ def matrix_M(g: BipartiteGraph) -> RationalMatrix:
     Equal to the sum of the rank-|T_j| projections Q over the neighborhoods,
     which the tests resum from projection_Q as an independent route.  The
     readable Fraction view of the rows of scaled_schur(g), which refuses a
-    disconnected graph; verify_graph, check_reduction, certify_majorization
-    and majorization_report read those integer rows directly.
+    disconnected graph; verify_graph, certify_majorization and
+    majorization_report read those integer rows directly.
     """
     den, rows, _ = scaled_schur(g)
     return RationalMatrix([[Fraction(x, den) for x in row] for row in rows])

@@ -3,17 +3,14 @@
 overlap_trace checks its closed form against the integer entries of the two
 projections on every call, so no Fraction matrix is built here.
 certify_majorization decides majorization and M > 0 exactly, in integers, by
-Ky Fan's maximum principle and Sylvester's criterion; it is what a
-verification record reports.  Eigenvalues are the one place floating point is
-allowed: majorization_report sets the Jacobi spectrum beside the exact
-overlap defects, as a float cross-check.  Every floating comparison follows
-one rule, read from FLOAT_TOL at call time:
-
-- absolute FLOAT_TOL for the Jacobi residual, the partial-sum gaps, the
-  defect comparison, the smallest eigenvalue and the projection checks;
-- FLOAT_TOL * max(1, sum(a)) for the trace gap, which grows with the degrees;
-- OFF_DIAGONAL_TOL is the Jacobi rotation threshold and _SYM_TOL the input
-  symmetry check; neither is a verdict tolerance.
+Ky Fan's maximum principle and Sylvester's criterion; it is the verdict of a
+verification record and of majorization_report alike.  Eigenvalues are the
+one place floating point is allowed: majorization_report sets the Jacobi
+spectrum beside the exact overlap defects, as numbers, not as a verdict.
+Every floating comparison is an absolute FLOAT_TOL, read at call time: the
+Jacobi residual and kyfan_check's projection and bound checks.
+OFF_DIAGONAL_TOL is the Jacobi rotation threshold and _SYM_TOL the input
+symmetry check; neither is a verdict tolerance.
 """
 
 from __future__ import annotations
@@ -205,7 +202,7 @@ class SpectralReport:
 
     spectrum serializes under the key "lambda"; partial_gaps[k-1] holds
     sum(lambda[:k]) - sum(a_sorted[:k]) for k = 1..m-1 and defect_sums the
-    matching exact lower bounds.
+    matching exact lower bounds; majorizes is the exact certificate's verdict.
     """
 
     spectrum: Spectrum
@@ -250,21 +247,17 @@ def _prefix_defects(g: BipartiteGraph, dd: DegreeData) -> tuple[list[int], int, 
     return order, lcm_b, numers
 
 
-def certify_majorization(
-    g: BipartiteGraph,
-    *,
-    scaled: ScaledRows | None = None,
-) -> list[int]:
+def certify_majorization(g: BipartiteGraph, scaled: ScaledRows) -> list[int]:
     """Exact certificate that M > 0 and that its spectrum majorizes the X-degrees.
 
-    Works on R = D*M and the degrees a, b, all from scaled_schur(g), which
-    refuses a disconnected graph (a scaled passed in must come from it; the
-    rows are not modified).  For each prefix I = [k] of
-    the degree order, k = 1..m-1, Q_I = P_I + J/m is a rank-k orthogonal
-    projection and M is the sum of the Q_(T_j), so
+    Works on R = D*M and the degrees a, b: scaled is the (D, rows, degrees)
+    triple of scaled_schur(g), which refuses a disconnected graph; the rows
+    are not modified.  For each prefix I = [k] of the degree order,
+    k = 1..m-1, Q_I = P_I + J/m is a rank-k orthogonal projection and M is
+    the sum of the Q_(T_j), so
     tr(Q_I M) = sum(a_i, i in I) + the total overlap defect of I.  Times
-    D*k*m*L, with numer and L from the defect sums of majorization_report,
-    that is the integer identity
+    D*k*m*L, with numer and L from _prefix_defects (the defect sums that
+    majorization_report shows), that is the integer identity
 
         L*(m*k*sum(R_ii, i in I) - m*sum(R_il, (i, l) in IxI) + k*sum(R))
             == D*m*(L*k*sum(a_i, i in I) + numer),
@@ -278,7 +271,7 @@ def certify_majorization(
     minors, the last being det(D*M); any failure raises IdentityViolation
     with the graph serialized.  No floating point is involved.
     """
-    den, rows, dd = scaled_schur(g) if scaled is None else scaled
+    den, rows, dd = scaled
     m = g.m
     order, lcm_b, numers = _prefix_defects(g, dd)
     if any(list(col) != row for row, col in zip(rows, zip(*rows))):
@@ -310,28 +303,23 @@ def certify_majorization(
 
 
 def majorization_report(g: BipartiteGraph) -> SpectralReport:
-    """Float cross-check: the Jacobi spectrum of M against the sorted X-degrees.
+    """The Jacobi spectrum of M beside the sorted X-degrees, with the exact verdict.
 
-    certify_majorization decides the same claims exactly; this report shows
-    the eigenvalues and serves the spectrum verb.  No campaign runs it: on
-    rows that pass the certificate, Ky Fan's maximum principle already
-    implies every check below, up to rounding.
-    [k] is the set of the k highest-degree X-vertices (ties broken by index).
-    Each partial eigenvalue sum must exceed the matching degree sum by at
-    least the total overlap defect of [k] against the neighborhoods, the
-    traces must agree, and the smallest eigenvalue must stay positive.  Any
-    failure raises with the offending graph serialized, since it would
-    contradict the tree-count bound itself.  The rows and degrees come from
-    scaled_schur(g), which refuses a disconnected graph; the eigensolver
-    gets the rows divided by D as floats.  Each defect sum is one exact
-    Fraction over k * L, with L the lcm of the neighborhood sizes, so the
-    lower bound does not read the rows.
-
-    Tolerances follow the module rule: partial sums, defects and the smallest
-    eigenvalue allow an absolute FLOAT_TOL; the trace gap allows
-    FLOAT_TOL * max(1, sum(a)), both for majorizes and for the raise.
+    The rows and degrees come from one scaled_schur(g) call, which refuses a
+    disconnected graph.  certify_majorization decides majorizes on them and
+    raises IdentityViolation, with the graph serialized, on any failure, so
+    a report that returns always majorizes.  The numbers follow: the
+    eigensolver gets the rows divided by D as floats, and for [k], the k
+    highest-degree X-vertices (ties broken by index), partial_gaps holds the
+    partial eigenvalue sum minus the degree sum and defect_sums the total
+    overlap defect of [k] against the neighborhoods, which Ky Fan's maximum
+    principle puts below that gap.  Each defect sum is one exact Fraction
+    over k * L, with L the lcm of the neighborhood sizes, so it does not
+    read the rows.  No float comparison decides anything here.
     """
-    den, rows, dd = scaled_schur(g)
+    scaled = scaled_schur(g)
+    certify_majorization(g, scaled)
+    den, rows, dd = scaled
     spectrum = eigen_sym([[x / den for x in row] for row in rows])
     order, lcm_b, numers = _prefix_defects(g, dd)
     a_sorted = tuple(dd.a[i] for i in order)
@@ -344,29 +332,11 @@ def majorization_report(g: BipartiteGraph) -> SpectralReport:
         deg_sum += a_sorted[k - 1]
         gaps.append(lam_sum - deg_sum)
         defects.append(Fraction(numer, k * lcm_b))
-    trace_gap = abs(sum(spectrum.values) - sum(dd.a))
-    trace_tol = FLOAT_TOL * max(1.0, float(sum(dd.a)))
-    majorizes = all(gap >= -FLOAT_TOL for gap in gaps) and trace_gap <= trace_tol
-    report = SpectralReport(
+    return SpectralReport(
         spectrum=spectrum,
         a_sorted=a_sorted,
         partial_gaps=tuple(gaps),
         defect_sums=tuple(defects),
-        trace_gap=trace_gap,
-        majorizes=majorizes,
+        trace_gap=abs(sum(spectrum.values) - sum(dd.a)),
+        majorizes=True,
     )
-    for k, (gap, defect) in enumerate(zip(gaps, defects), start=1):
-        if gap < float(defect) - FLOAT_TOL:
-            raise IdentityViolation(
-                f"partial sum gap {gap!r} at k={k} fell below the defect sum "
-                f"{defect} for:\n{write_graph(g)}"
-            )
-    if trace_gap > trace_tol:
-        raise IdentityViolation(
-            f"trace gap {trace_gap!r} out of tolerance for:\n{write_graph(g)}"
-        )
-    if spectrum.values[-1] <= FLOAT_TOL:
-        raise IdentityViolation(
-            f"smallest eigenvalue {spectrum.values[-1]!r} is not positive for:\n{write_graph(g)}"
-        )
-    return report

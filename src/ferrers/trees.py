@@ -7,9 +7,9 @@ from itertools import combinations
 from math import lcm, prod
 
 from .errors import CapExceeded, IdentityViolation, IsolatedVertex
-from .graphs import DEFAULT_CAP, BipartiteGraph, DegreeData, degrees
+from .graphs import DEFAULT_CAP, BipartiteGraph, DegreeData, _covers, degrees
 from .graphs import is_connected  # noqa: F401  (uncalled here; perfbench/spans.py rebinds it)
-from .linalg import ScaledRows, bareiss_det, laplacian_rows, scaled_schur
+from .linalg import ScaledRows, bareiss_det, laplacian_rows
 
 
 def _minor_det_at_0(lap: list[list[int]], k: int) -> int:
@@ -49,16 +49,6 @@ def _minor_det_at_0(lap: list[list[int]], k: int) -> int:
     return t
 
 
-def _covered(g: BipartiteGraph) -> bool:
-    """No empty neighborhood, and the neighborhoods cover X: no vertex is isolated."""
-    covered = 0
-    for t in g.nbrs:
-        if not t:
-            return False
-        covered |= t
-    return covered == (1 << g.m) - 1
-
-
 def tau_matrix_tree(g: BipartiteGraph) -> int:
     """Number of spanning trees, as a Laplacian minor determinant.
 
@@ -75,7 +65,7 @@ def tau_matrix_tree(g: BipartiteGraph) -> int:
     is a hard error.  Disconnected graphs give 0, not an error.  Campaigns
     check the count against tau_brute_force, which reads only g.edges().
     """
-    if not _covered(g):
+    if not _covers(g.m, g.nbrs):
         return 0
     lap = laplacian_rows(g)
     k = g.m
@@ -125,41 +115,28 @@ def ferrers_invariant(g: BipartiteGraph, *, dd: DegreeData | None = None) -> Fra
 
     dd may be passed in when the degrees of g are already counted, such as
     the degrees scaled_schur returns; otherwise they are counted here, after
-    _covered refuses an isolated vertex, so a header alone cannot make the
+    _covers refuses an isolated vertex, so a header alone cannot make the
     count allocate m entries.
     """
-    if dd is None and _covered(g):
+    if dd is None and _covers(g.m, g.nbrs):
         dd = degrees(g)
     if dd is None or 0 in dd.a or 0 in dd.b:
         raise IsolatedVertex("degree-zero vertex, the degree product is degenerate")
     return Fraction(prod(dd.a) * prod(dd.b), g.m * g.n)
 
 
-def check_reduction(
-    g: BipartiteGraph,
-    *,
-    tau: int | None = None,
-    scaled: ScaledRows | None = None,
-    det: int | None = None,
-) -> bool:
+def check_reduction(g: BipartiteGraph, tau: int, scaled: ScaledRows, det: int) -> bool:
     """Exact identity tau * m * n = (prod of y-degrees) * det M.
 
-    tau, scaled and det (det of those rows, such as the last leading minor
-    from certify_majorization) may be passed in when already computed; a
-    scaled passed in must be the (D, rows, degrees) triple of scaled_schur(g),
-    which gives b.  Otherwise scaled_schur(g) builds it, and refuses a
-    disconnected graph before tau is counted, and det(D*M) = D^m det M is
-    taken by bareiss_det on a copy of the rows.  The identity is checked as
-    tau * m * n * D^m = (prod b) * det(D*M) in integers; a mismatch raises
-    with both sides shown as rationals.
+    scaled is the (D, rows, degrees) triple of scaled_schur(g), which gives
+    D and b, and det is det(D*M) = D^m det M, such as the last leading minor
+    from certify_majorization; tau is the tree count of g.  The identity is
+    checked as tau * m * n * D^m = (prod b) * det(D*M) in integers; a
+    mismatch raises with both sides shown as rationals.
     """
-    den, rows, dd = scaled_schur(g) if scaled is None else scaled
-    if tau is None:
-        tau = tau_matrix_tree(g)
+    den, _, dd = scaled
     scale = den**g.m
     left = tau * g.m * g.n * scale
-    if det is None:
-        det = bareiss_det([row[:] for row in rows])
     right = prod(dd.b) * det
     if left != right:
         raise IdentityViolation(

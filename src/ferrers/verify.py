@@ -89,21 +89,21 @@ def verify_graph(g: BipartiteGraph) -> VerificationRecord:
     identity and the exact majorization certificate (certify_majorization) run as well,
     on the integer rows of D*M built once by scaled_schur, and land in their
     boolean fields; no eigenvalue is computed.  The certificate's no-swap
-    elimination gives det(D*M) to the reduction, which takes the determinant
-    with row swaps itself when the certificate fails.  scaled_schur refuses
-    a disconnected graph with DisconnectedGraph, before the tree count is
-    taken.
+    elimination gives det(D*M) to the reduction; when the certificate fails,
+    bareiss_det takes it, with row swaps, on a copy of the rows.
+    scaled_schur refuses a disconnected graph with DisconnectedGraph, before
+    the tree count is taken.
     """
     scaled = scaled_schur(g)
     tau = tau_matrix_tree(g)
     try:
-        det = certify_majorization(g, scaled=scaled)[-1]
+        det = certify_majorization(g, scaled)[-1]
         majorizes = True
     except IdentityViolation:
-        det = None
+        det = bareiss_det([row[:] for row in scaled[1]])
         majorizes = False
     try:
-        reduction_ok = check_reduction(g, tau=tau, scaled=scaled, det=det)
+        reduction_ok = check_reduction(g, tau, scaled, det)
     except IdentityViolation:
         reduction_ok = False
     F = ferrers_invariant(g, dd=scaled[2])

@@ -21,11 +21,11 @@ def _never_ferrers(g):
     return False
 
 
-def _failed_reduction(g, *, tau=None, scaled=None, det=None):
+def _failed_reduction(g, tau, scaled, det):
     raise IdentityViolation("corrupted reduction identity")
 
 
-def _failed_certificate(g, *, scaled=None):
+def _failed_certificate(g, scaled):
     raise IdentityViolation("corrupted majorization certificate")
 
 

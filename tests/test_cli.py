@@ -197,6 +197,25 @@ class TestStaircaseVerbs:
     def test_gen_rejects_garbage(self):
         assert main(["ferrers-gen", "a,b"]) == 2
 
+    def test_gen_height_at_the_cap_is_built(self, capsys):
+        assert main(["ferrers-gen", "20", "--format", "plain"]) == 0
+        assert parse_graph(capsys.readouterr().out) == BipartiteGraph(20, 1, ((1 << 20) - 1,))
+
+    @pytest.mark.parametrize("heights", ["21", "1000000,1"])
+    def test_gen_height_above_the_cap_is_refused_before_any_bitset(
+        self, heights, monkeypatch, capsys
+    ):
+        # Writing the staircase walks a (1 << h) - 1 bitset bit by bit, so a
+        # 7-digit height would run for hours.
+        def refuse(p):
+            raise AssertionError("built the staircase of a refused height")
+
+        monkeypatch.setattr("ferrers.cli.ferrers_from_partition", refuse)
+        assert main(["ferrers-gen", heights]) == 2
+        top = heights.split(",")[0]
+        err = capsys.readouterr().err
+        assert f"error: height {top} exceeds the ferrers-gen input cap 20" in err
+
 
 class TestEnumerate:
     def test_plain_blocks_reparse(self, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ferrers.cli import main
 from ferrers.errors import DisconnectedGraph, IdentityViolation, NonConvergence
 from ferrers.graphs import (
     BipartiteGraph,
@@ -14,6 +15,7 @@ from ferrers.graphs import (
     degrees,
     enumerate_connected,
     ferrers_from_partition,
+    write_graph,
 )
 from ferrers.linalg import bareiss_det, matrix_M, projection_Q, scaled_schur
 from ferrers.spectral import (
@@ -290,8 +292,7 @@ class TestMajorization:
         assert report_dict(rep) == sound
 
     def test_gap_dominates_defect_everywhere(self):
-        # The report itself raises if the exact lower bound is violated;
-        # surviving this loop is the assertion.
+        # Ky Fan's bound, read off the float numbers of each report.
         for m, n in ((2, 2), (3, 2), (3, 3)):
             for g in enumerate_connected(m, n):
                 rep = majorization_report(g)
@@ -299,11 +300,10 @@ class TestMajorization:
                 for gap, defect in zip(rep.partial_gaps, rep.defect_sums):
                     assert gap >= float(defect) - 1e-9
 
-    def test_trace_gap_tolerance_is_relative(self, monkeypatch):
-        # FLOAT_TOL is scaled by max(1, sum(a)) = 6 on the hexagon, for the
-        # verdict and the raise alike: a trace gap of 3 FLOAT_TOL passes both,
-        # and fails once FLOAT_TOL is ten times smaller.
-        # M + tol*I with tol = p/q is the integer pair (D*q, q*(D*M) + p*D*I).
+    def test_perturbed_trace_refused_exactly(self, monkeypatch, tmp_path, capsys):
+        # M + tol*I with tol = p/q is the integer pair (D*q, q*(D*M) + p*D*I):
+        # its Jacobi trace gap, 3e-9, is within any float tolerance on the
+        # hexagon, but the exact tr(D*M) check refuses it, and so does the verb.
         tol = 1e-9
         p, q = Fraction(tol).as_integer_ratio()
         den, rows, dd = scaled_schur(HEX)
@@ -312,12 +312,12 @@ class TestMajorization:
             for i, row in enumerate(rows)
         ]
         monkeypatch.setattr("ferrers.spectral.scaled_schur", lambda g: (den * q, perturbed, dd))
-        rep = majorization_report(HEX)
-        assert tol < rep.trace_gap < 6 * tol
-        assert rep.majorizes
-        monkeypatch.setattr("ferrers.spectral.FLOAT_TOL", 1e-10)
-        with pytest.raises(IdentityViolation, match="trace gap"):
+        with pytest.raises(IdentityViolation, match=r"tr\(D\*M\) differs"):
             majorization_report(HEX)
+        path = tmp_path / "hex.txt"
+        path.write_text(write_graph(HEX))
+        assert main(["spectrum", str(path)]) == 1
+        assert capsys.readouterr().out == ""
 
     def test_wrong_matrix_caught(self, monkeypatch):
         # Feeding the wrong M must trip one of the exact consistency checks.
@@ -344,26 +344,27 @@ class TestMajorization:
 class TestCertifyMajorization:
     def test_hexagon_minors(self):
         # D*M = [[12, 3, 3], [3, 12, 3], [3, 3, 12]] with D = 6; det M = 27/4.
-        assert certify_majorization(HEX) == [12, 135, 1458]
+        assert certify_majorization(HEX, scaled_schur(HEX)) == [12, 135, 1458]
         assert Fraction(1458, 6**3) == matrix_M(HEX).det_exact()
 
     def test_every_small_graph_certified(self):
         for m, n in ((1, 3), (2, 2), (3, 2), (3, 3), (2, 4), (4, 2)):
             for g in enumerate_connected(m, n):
-                den, rows, _ = scaled_schur(g)
-                minors = certify_majorization(g)
+                scaled = scaled_schur(g)
+                minors = certify_majorization(g, scaled)
                 assert len(minors) == m and all(p > 0 for p in minors)
-                assert minors[-1] == bareiss_det(rows)
+                assert minors[-1] == bareiss_det(scaled[1])
 
     def test_precomputed_rows_accepted_and_left_unchanged(self):
         den, rows, dd = scaled_schur(HEX)
         before = [row[:] for row in rows]
-        assert certify_majorization(HEX, scaled=(den, rows, dd)) == certify_majorization(HEX)
+        assert certify_majorization(HEX, (den, rows, dd)) == [12, 135, 1458]
         assert rows == before
 
     def test_disconnected_rejected(self):
+        g = BipartiteGraph(2, 2, (0b01, 0b10))
         with pytest.raises(DisconnectedGraph):
-            certify_majorization(BipartiteGraph(2, 2, (0b01, 0b10)))
+            certify_majorization(g, scaled_schur(g))
 
     @pytest.mark.parametrize("delta", [1, -1])
     def test_perturbed_off_diagonal_pair_caught(self, delta):
@@ -371,13 +372,13 @@ class TestCertifyMajorization:
         rows[0][1] += delta
         rows[1][0] += delta
         with pytest.raises(IdentityViolation, match="at k=1"):
-            certify_majorization(HEX, scaled=(den, rows, dd))
+            certify_majorization(HEX, (den, rows, dd))
 
     def test_sunk_diagonal_entry_caught(self):
         den, rows, dd = scaled_schur(HEX)
         rows[2][2] -= 10**6
         with pytest.raises(IdentityViolation, match="tr"):
-            certify_majorization(HEX, scaled=(den, rows, dd))
+            certify_majorization(HEX, (den, rows, dd))
 
     def test_trace_checked_on_its_own(self):
         # +2 on the last vertex's diagonal, -1 on its pair with vertex 0: the
@@ -387,14 +388,14 @@ class TestCertifyMajorization:
         rows[0][2] -= 1
         rows[2][0] -= 1
         with pytest.raises(IdentityViolation, match=r"tr\(D\*M\)"):
-            certify_majorization(HEX, scaled=(den, rows, dd))
+            certify_majorization(HEX, (den, rows, dd))
 
     def test_asymmetric_rows_caught(self):
         den, rows, dd = scaled_schur(HEX)
         rows[0][1] += 1
         rows[0][2] -= 1
         with pytest.raises(IdentityViolation, match="not symmetric"):
-            certify_majorization(HEX, scaled=(den, rows, dd))
+            certify_majorization(HEX, (den, rows, dd))
 
     def test_zero_leading_minor_caught_without_row_swap(self):
         # The hexagon's D*M plus a symmetric perturbation that keeps the trace
@@ -404,12 +405,12 @@ class TestCertifyMajorization:
         rows = [[0, -5, -5], [-5, 8, 19], [-5, 19, 28]]
         assert bareiss_det([row[:] for row in rows]) == 50
         with pytest.raises(IdentityViolation, match=r"leading minors \[0\]"):
-            certify_majorization(HEX, scaled=(6, rows, degrees(HEX)))
+            certify_majorization(HEX, (6, rows, degrees(HEX)))
 
     def test_wrong_matrix_caught(self):
         identity = [[1 if i == k else 0 for k in range(3)] for i in range(3)]
         with pytest.raises(IdentityViolation):
-            certify_majorization(HEX, scaled=(1, identity, degrees(HEX)))
+            certify_majorization(HEX, (1, identity, degrees(HEX)))
 
 
 class TestReportDict:

@@ -20,12 +20,14 @@ from ferrers.graphs import (
     is_connected,
 )
 from ferrers.linalg import bareiss_det, laplacian_rows, matrix_M, scaled_schur
+from ferrers.spectral import certify_majorization
 from ferrers.trees import (
     check_reduction,
     ferrers_invariant,
     tau_brute_force,
     tau_matrix_tree,
 )
+from ferrers.verify import verify_graph
 from matrix_helpers import every_deletion_minor, spanning_trees
 
 HEX = BipartiteGraph(3, 3, (0b011, 0b110, 0b101))
@@ -185,7 +187,7 @@ class TestMatrixTree:
             raise AssertionError("tau_matrix_tree read the degrees or D*M")
 
         monkeypatch.setattr("ferrers.linalg.degrees", refuse)
-        monkeypatch.setattr("ferrers.trees.scaled_schur", refuse)
+        assert not hasattr(ferrers.trees, "scaled_schur")
         assert [tau_matrix_tree(g) for g in graphs] == expected
         assert expected[0b101110011] == 6  # the hexagon
 
@@ -330,19 +332,28 @@ class TestInvariant:
         assert ferrers_invariant(g) == tau_matrix_tree(g)
 
 
+def reduce_with_bareiss(g, scaled=None):
+    """check_reduction on the tree count and det(D*M) taken by Bareiss on a copy of the rows."""
+    scaled = scaled_schur(g) if scaled is None else scaled
+    det = bareiss_det([row[:] for row in scaled[1]])
+    return check_reduction(g, tau_matrix_tree(g), scaled, det)
+
+
 class TestReduction:
     def test_hexagon_by_hand(self):
-        # 6 * (3*3) = (2*2*2) * det M with det M = 27/4.
+        # 6 * (3*3) = (2*2*2) * det M with det M = 27/4, so det(D*M) = 6^3 * 27/4 = 1458.
         m = matrix_M(HEX)
         assert m.det_exact() == Fraction(27, 4)
-        check_reduction(HEX)
+        assert check_reduction(HEX, 6, scaled_schur(HEX), 1458)
 
     def test_examples(self):
         for g in (BipartiteGraph(1, 1, (1,)), K22, K23, STAIR, PATH4):
-            check_reduction(g)
+            assert reduce_with_bareiss(g)
 
     def test_precomputed_arguments_accepted(self):
-        check_reduction(HEX, tau=6, scaled=scaled_schur(HEX))
+        # verify_graph hands over the certificate's last leading minor as det(D*M).
+        scaled = scaled_schur(HEX)
+        assert check_reduction(HEX, 6, scaled, certify_majorization(HEX, scaled)[-1])
 
     @pytest.mark.parametrize("delta", [1, -1])
     def test_perturbed_off_diagonal_pair_caught(self, delta):
@@ -350,25 +361,30 @@ class TestReduction:
         rows[0][1] += delta
         rows[1][0] += delta
         with pytest.raises(IdentityViolation, match=r"^tau\*m\*n = 54 but "):
-            check_reduction(HEX, scaled=(den, rows, dd))
+            reduce_with_bareiss(HEX, (den, rows, dd))
 
     def test_doubled_denominator_caught(self):
         den, rows, dd = scaled_schur(HEX)
         with pytest.raises(IdentityViolation, match=r"^tau\*m\*n = 54 but "):
-            check_reduction(HEX, scaled=(2 * den, rows, dd))
+            reduce_with_bareiss(HEX, (2 * den, rows, dd))
 
-    def test_precomputed_rows_left_unchanged(self):
+    def test_precomputed_rows_left_unchanged(self, monkeypatch):
+        # Rows that fail the certificate send verify_graph to Bareiss, with row
+        # swaps, for det(D*M): on a copy, so the rows stay as scaled_schur gave them.
         den, rows, dd = scaled_schur(HEX)
+        rows[0][1] += 1
+        rows[1][0] += 1
         kept = [row[:] for row in rows]
-        check_reduction(HEX, scaled=(den, rows, dd))
+        monkeypatch.setattr("ferrers.verify.scaled_schur", lambda g: (den, rows, dd))
+        rec = verify_graph(HEX)
+        assert not rec.majorizes and not rec.reduction_ok
         assert rows == kept
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraph):
-            check_reduction(BipartiteGraph(2, 2, (0b01, 0b10)))
+            reduce_with_bareiss(BipartiteGraph(2, 2, (0b01, 0b10)))
 
     def test_exhaustive_small(self):
         for m, n in ((2, 2), (2, 3), (3, 3)):
             for g in enumerate_connected(m, n):
-                check_reduction(g)
-
+                assert reduce_with_bareiss(g)

@@ -697,7 +697,7 @@ def _minors_without_division(rows):
     return minors
 
 
-_D_M_READERS = ("verify", "trees", "spectral")
+_D_M_READERS = ("verify", "spectral")
 
 
 _FAULT_PAIRS = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
