@@ -100,7 +100,7 @@ def _covers(m: int, nbrs: Sequence[int]) -> bool:
         if not t:
             return False
         union |= t
-    return union == (1 << m) - 1
+    return union.bit_count() == m  # no bit lies at or above m; builds no m-bit integer
 
 
 def _nbrs_connected(m: int, nbrs: Sequence[int]) -> bool:
@@ -146,7 +146,7 @@ def is_ferrers(g: BipartiteGraph) -> bool:
     for big, small in zip(chain, chain[1:]):
         if small & ~big:
             return False
-    return chain[0] == (1 << g.m) - 1
+    return chain[0].bit_count() == g.m
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,13 @@
-"""Exact dense linear algebra over Fraction, plus the structured matrices used here.
+"""Exact linear algebra on integer rows, plus the structured matrices used here.
 
-Determinants clear denominators row by row and then run fraction-free Bareiss
-elimination on integers, so no floating point enters any certified value.
-The Laplacian and the matrix M = L_X + (n/m) J are each built once, as
-integer rows (over a common denominator for M); the reduction identity and
-the majorization certificate check those rows.  scaled_schur is the one
-place that refuses a disconnected graph, and every check on D*M goes through
-it.  The Fraction projection matrices are the readable reference for the
-projection algebra; they are cached because they are immutable.
+Determinants and leading minors run fraction-free Bareiss elimination on
+integer rows, so no floating point enters any certified value.  The
+Laplacian and the matrix M = L_X + (n/m) J are each built once, as integer
+rows (over a common denominator D for M); the reduction identity and the
+majorization certificate check those rows.  scaled_schur is the one place
+that refuses a disconnected graph, and every check on D*M goes through it.
+RationalMatrix is the readable Fraction view, and the cached Fraction
+projection matrices are the reference for the projection algebra.
 """
 
 from __future__ import annotations

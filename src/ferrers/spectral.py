@@ -202,7 +202,8 @@ class SpectralReport:
 
     spectrum serializes under the key "lambda"; partial_gaps[k-1] holds
     sum(lambda[:k]) - sum(a_sorted[:k]) for k = 1..m-1 and defect_sums the
-    matching exact lower bounds; majorizes is the exact certificate's verdict.
+    matching exact lower bounds; majorizes, the exact certificate's verdict,
+    is always true, since majorization_report raises when it fails.
     """
 
     spectrum: Spectrum

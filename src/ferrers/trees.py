@@ -7,18 +7,18 @@ from itertools import combinations
 from math import lcm, prod
 
 from .errors import CapExceeded, IdentityViolation, IsolatedVertex
-from .graphs import DEFAULT_CAP, BipartiteGraph, DegreeData, _covers, degrees
+from .graphs import DEFAULT_CAP, BipartiteGraph, DegreeData, _covers, _transpose, degrees
 from .graphs import is_connected  # noqa: F401  (uncalled here; perfbench/spans.py rebinds it)
-from .linalg import ScaledRows, bareiss_det, laplacian_rows
+from .linalg import bareiss_det, laplacian_rows
 
 
 def _minor_det_at_0(lap: list[list[int]], k: int) -> int:
     """Laplacian minor determinant at vertex 0, its side of k vertices eliminated in closed form.
 
-    Vertices 0..k-1 of lap form one side (X, or Y when tau_matrix_tree
-    puts Y first) and have no edges among themselves, so rows 1..k-1 of the
-    minor are diag(a_1..a_(k-1)) on that side.  An isolated vertex there
-    makes a zero row.  Otherwise the minor is prod(a) * det S, with
+    Vertices 0..k-1 of lap form one side (the long side, in tau_matrix_tree)
+    and have no edges among themselves, so rows 1..k-1 of the minor are
+    diag(a_1..a_(k-1)) on that side.  An isolated vertex there makes a zero
+    row.  Otherwise the minor is prod(a) * det S, with
     S = L_OO - sum over i >= 1 of L[O][i] L[i][O] / a_i the Schur complement
     onto the other side O, of n = len(lap) - k vertices.  With D = lcm(a),
     D*S is an integer n x n block and det(D*S) = D^n det S, so
@@ -55,24 +55,20 @@ def tau_matrix_tree(g: BipartiteGraph) -> int:
     A graph with an isolated vertex (an empty neighborhood, or an x in no
     neighborhood) has no spanning tree, and the count returns 0 before it
     builds any matrix, so a header alone cannot make it allocate (m+n)^2
-    entries.  Otherwise the count reads nothing but laplacian_rows(g).
-    Neither side has inner edges, so _minor_det_at_0 eliminates the side
-    listed first in closed form and Bareiss runs on the other one.  When
-    n > m, the rows and columns are permuted to Y then X and the minor is
-    taken at y_0; otherwise it is taken at x_0 as laplacian_rows lists it.
-    Either way Bareiss runs on a min(m, n) square block.  The count is an
-    exact nonnegative integer; a negative determinant would mean a bug and
-    is a hard error.  Disconnected graphs give 0, not an error.  Campaigns
-    check the count against tau_brute_force, which reads only g.edges().
+    entries.  Otherwise the count reads nothing but laplacian_rows.  tau is
+    the same for a graph and its transpose, so when n > m it counts the
+    transpose: the long side is then X, and _minor_det_at_0 deletes x_0,
+    eliminates the rest of X in closed form and runs Bareiss on the
+    min(m, n) square block of the short side.  The count is an exact
+    nonnegative integer; a negative determinant would mean a bug and is a
+    hard error.  Disconnected graphs give 0, not an error.  Campaigns check
+    the count against tau_brute_force, which reads only g.edges().
     """
     if not _covers(g.m, g.nbrs):
         return 0
-    lap = laplacian_rows(g)
-    k = g.m
-    if g.n > k:
-        lap = [row[k:] + row[:k] for row in lap[k:] + lap[:k]]
-        k = g.n
-    t = _minor_det_at_0(lap, k)
+    if g.n > g.m:
+        g = _transpose(g)
+    t = _minor_det_at_0(laplacian_rows(g), g.m)
     if t < 0:
         raise IdentityViolation(f"negative Laplacian minor determinant {t}")
     return t
@@ -125,19 +121,18 @@ def ferrers_invariant(g: BipartiteGraph, *, dd: DegreeData | None = None) -> Fra
     return Fraction(prod(dd.a) * prod(dd.b), g.m * g.n)
 
 
-def check_reduction(g: BipartiteGraph, tau: int, scaled: ScaledRows, det: int) -> bool:
+def check_reduction(g: BipartiteGraph, tau: int, den: int, b: tuple[int, ...], det: int) -> bool:
     """Exact identity tau * m * n = (prod of y-degrees) * det M.
 
-    scaled is the (D, rows, degrees) triple of scaled_schur(g), which gives
-    D and b, and det is det(D*M) = D^m det M, such as the last leading minor
-    from certify_majorization; tau is the tree count of g.  The identity is
+    den is the D of scaled_schur(g) and b the y-degrees it returns, det is
+    det(D*M) = D^m det M, such as the last leading minor from
+    certify_majorization, and tau is the tree count of g.  The identity is
     checked as tau * m * n * D^m = (prod b) * det(D*M) in integers; a
     mismatch raises with both sides shown as rationals.
     """
-    den, _, dd = scaled
     scale = den**g.m
     left = tau * g.m * g.n * scale
-    right = prod(dd.b) * det
+    right = prod(b) * det
     if left != right:
         raise IdentityViolation(
             f"tau*m*n = {Fraction(left, scale)} but (prod b)*det M = {Fraction(right, scale)}"

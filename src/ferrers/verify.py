@@ -26,7 +26,9 @@ from .graphs import (
     DEFAULT_CAP,
     BipartiteGraph,
     PartitionSpec,
+    _covers,
     _mask_connected,
+    _transpose,
     degrees,  # noqa: F401  (uncalled here; perfbench/spans.py rebinds it)
     ferrers_from_partition,
     graph_from_mask,
@@ -43,7 +45,7 @@ from .trees import check_reduction, ferrers_invariant, tau_brute_force, tau_matr
 
 @dataclass(frozen=True)
 class VerificationRecord:
-    """Everything checked for one graph; the verdicts use exact rationals only."""
+    """One graph's exact verdicts; reduction_ok and majorizes are decided on the short side."""
 
     graph: BipartiteGraph
     tau: int
@@ -84,29 +86,30 @@ def verify_graph(g: BipartiteGraph) -> VerificationRecord:
     """Verify one connected graph: bound, equality vs staircase shape, cross-checks.
 
     The inequality and equality verdicts compare tau against
-    F = ferrers_invariant(g) as exact rationals, F taken from the degrees
-    that scaled_schur returns, so they are counted once.  The reduction
-    identity and the exact majorization certificate (certify_majorization) run as well,
-    on the integer rows of D*M built once by scaled_schur, and land in their
-    boolean fields; no eigenvalue is computed.  The certificate's no-swap
-    elimination gives det(D*M) to the reduction; when the certificate fails,
-    bareiss_det takes it, with row swaps, on a copy of the rows.
-    scaled_schur refuses a disconnected graph with DisconnectedGraph, before
-    the tree count is taken.
+    F = ferrers_invariant as exact rationals, with the degrees scaled_schur
+    returns.  The reduction identity and the exact majorization certificate
+    (certify_majorization) check the integer rows of D*M that scaled_schur
+    builds once; no eigenvalue is computed.  tau, F and the staircase shape
+    are the same for g and its transpose, so, like the tree count, these run
+    on the short side: on the transpose when m > n.  The certificate's
+    elimination gives det(D*M) to the reduction; when it fails, bareiss_det
+    takes it on a copy of the rows.  scaled_schur refuses a disconnected
+    graph before the tree count; one with an isolated vertex is not transposed.
     """
-    scaled = scaled_schur(g)
+    h = _transpose(g) if g.m > g.n and _covers(g.m, g.nbrs) else g
+    scaled = scaled_schur(h)
     tau = tau_matrix_tree(g)
     try:
-        det = certify_majorization(g, scaled)[-1]
+        det = certify_majorization(h, scaled)[-1]
         majorizes = True
     except IdentityViolation:
         det = bareiss_det([row[:] for row in scaled[1]])
         majorizes = False
     try:
-        reduction_ok = check_reduction(g, tau, scaled, det)
+        reduction_ok = check_reduction(h, tau, scaled[0], scaled[2].b, det)
     except IdentityViolation:
         reduction_ok = False
-    F = ferrers_invariant(g, dd=scaled[2])
+    F = ferrers_invariant(h, dd=scaled[2])
     return VerificationRecord(
         graph=g,
         tau=tau,

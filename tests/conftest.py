@@ -21,7 +21,7 @@ def _never_ferrers(g):
     return False
 
 
-def _failed_reduction(g, tau, scaled, det):
+def _failed_reduction(g, tau, den, b, det):
     raise IdentityViolation("corrupted reduction identity")
 
 

@@ -1,6 +1,7 @@
 """Graph construction, connectivity, staircase detection, enumeration, text I/O."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -27,6 +28,7 @@ from ferrers.graphs import (
     parse_graph,
     write_graph,
 )
+from ferrers.trees import tau_matrix_tree
 
 HEX = BipartiteGraph(3, 3, (0b011, 0b110, 0b101))
 K22 = BipartiteGraph(2, 2, (0b11, 0b11))
@@ -133,6 +135,19 @@ class TestConnectivity:
     def test_isolated_vertices(self):
         assert not is_connected(BipartiteGraph(2, 1, (0b01,)))  # x_1 isolated
         assert not is_connected(BipartiteGraph(1, 2, (1, 0)))  # y_1 isolated
+
+    def test_header_m_alone_allocates_nothing(self):
+        # Coverage compares bit counts: (1 << 10**8) - 1 alone would take 12.5 MB.
+        g = BipartiteGraph(10**8, 1, (1,))
+        tracemalloc.start()
+        try:
+            assert not is_connected(g)
+            assert not is_ferrers(g)
+            assert tau_matrix_tree(g) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @given(graphs())
     def test_matches_union_find(self, g):

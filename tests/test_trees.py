@@ -117,9 +117,10 @@ class TestMatrixTree:
     def test_closed_form_matches_generic_minor_exhaustively(self):
         # Every labeled graph with m*n <= 12, connected or not.  The
         # all-minors reference does not fire and gives the generic minor at
-        # x_0.  The closed form is checked in
-        # both orientations: X eliminated with x_0 deleted, and Y eliminated
-        # with y_0 deleted, whichever of them tau_matrix_tree picks.
+        # x_0.  The closed form is checked in both orientations: X
+        # eliminated with x_0 deleted, and Y eliminated with y_0 deleted on
+        # the rows of the transpose, which are the Y-first Laplacian entry
+        # for entry; tau_matrix_tree picks the long side to eliminate.
         closed_form = ferrers.trees._minor_det_at_0
         for m in range(1, 13):
             for n in range(1, 12 // m + 1):
@@ -127,6 +128,7 @@ class TestMatrixTree:
                     g = graph_from_mask(m, n, mask)
                     t = generic_minor_at_x0(g)
                     lap = laplacian_rows(g)
+                    assert laplacian_rows(_transpose(g)) == y_first(lap, m), (m, n, mask)
                     assert closed_form(lap, m) == t, (m, n, mask)
                     assert closed_form(y_first(lap, m), n) == t, (m, n, mask)
                     assert tau_matrix_tree(g) == t, (m, n, mask)
@@ -335,8 +337,8 @@ class TestInvariant:
 def reduce_with_bareiss(g, scaled=None):
     """check_reduction on the tree count and det(D*M) taken by Bareiss on a copy of the rows."""
     scaled = scaled_schur(g) if scaled is None else scaled
-    det = bareiss_det([row[:] for row in scaled[1]])
-    return check_reduction(g, tau_matrix_tree(g), scaled, det)
+    den, rows, dd = scaled
+    return check_reduction(g, tau_matrix_tree(g), den, dd.b, bareiss_det([row[:] for row in rows]))
 
 
 class TestReduction:
@@ -344,7 +346,7 @@ class TestReduction:
         # 6 * (3*3) = (2*2*2) * det M with det M = 27/4, so det(D*M) = 6^3 * 27/4 = 1458.
         m = matrix_M(HEX)
         assert m.det_exact() == Fraction(27, 4)
-        assert check_reduction(HEX, 6, scaled_schur(HEX), 1458)
+        assert check_reduction(HEX, 6, 6, (2, 2, 2), 1458)
 
     def test_examples(self):
         for g in (BipartiteGraph(1, 1, (1,)), K22, K23, STAIR, PATH4):
@@ -352,8 +354,8 @@ class TestReduction:
 
     def test_precomputed_arguments_accepted(self):
         # verify_graph hands over the certificate's last leading minor as det(D*M).
-        scaled = scaled_schur(HEX)
-        assert check_reduction(HEX, 6, scaled, certify_majorization(HEX, scaled)[-1])
+        scaled = den, _, dd = scaled_schur(HEX)
+        assert check_reduction(HEX, 6, den, dd.b, certify_majorization(HEX, scaled)[-1])
 
     @pytest.mark.parametrize("delta", [1, -1])
     def test_perturbed_off_diagonal_pair_caught(self, delta):
