@@ -147,8 +147,12 @@ def _cmd_ferrers_detect(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    for g in enumerate_connected(args.m, args.n, cap=args.cap, dedupe=args.dedupe):
-        emit({"graph": write_graph(g)}, args.format)
+    graphs = enumerate_connected(args.m, args.n, cap=args.cap, dedupe=args.dedupe)
+    for k, g in enumerate(graphs):
+        if k and args.format == "csv":  # the header went out with the first graph
+            csv.writer(sys.stdout).writerow([write_graph(g)])
+        else:
+            emit({"graph": write_graph(g)}, args.format)
     return 0
 
 
@@ -159,6 +163,9 @@ def _cmd_verify(args) -> int:
         def stream(rec):
             print(json.dumps(rec))
 
+    corner = (args.m_max, args.n_max)  # refused before a list of m_max * n_max pairs
+    if min(corner) > 0 and args.m_max * args.n_max > args.cap:
+        raise CapExceeded(f"pair {corner} exceeds the enumeration cap {args.cap}")
     pairs = [(m, n) for m in range(1, args.m_max + 1) for n in range(1, args.n_max + 1)]
     summary = verify_pairs(pairs, cap=args.cap, workers=args.workers, emit=stream)
     emit(summary_dict(summary), args.format)

@@ -2,9 +2,10 @@
 
 Determinants and leading minors run fraction-free Bareiss elimination on
 integer rows, so no floating point enters any certified value.  The
-Laplacian and the matrix M = L_X + (n/m) J are each built once, as integer
-rows (over a common denominator D for M); the reduction identity and the
-majorization certificate check those rows.  scaled_schur is the one place
+Laplacian, which the weighted corollary reads, and the matrix
+M = L_X + (n/m) J are each built once, as integer rows (over a common
+denominator D for M); the reduction identity and the majorization
+certificate check the rows of D*M.  scaled_schur is the one place
 that refuses a disconnected graph, and every check on D*M goes through it.
 RationalMatrix is the readable Fraction view, and the cached Fraction
 projection matrices are the reference for the projection algebra.

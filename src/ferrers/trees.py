@@ -7,68 +7,50 @@ from itertools import combinations
 from math import lcm, prod
 
 from .errors import CapExceeded, IdentityViolation, IsolatedVertex
-from .graphs import DEFAULT_CAP, BipartiteGraph, DegreeData, _covers, _transpose, degrees
+from .graphs import DEFAULT_CAP, BipartiteGraph, DegreeData, _covers, _transpose, bit_indices
+from .graphs import degrees
 from .graphs import is_connected  # noqa: F401  (uncalled here; perfbench/spans.py rebinds it)
-from .linalg import bareiss_det, laplacian_rows
-
-
-def _minor_det_at_0(lap: list[list[int]], k: int) -> int:
-    """Laplacian minor determinant at vertex 0, its side of k vertices eliminated in closed form.
-
-    Vertices 0..k-1 of lap form one side (the long side, in tau_matrix_tree)
-    and have no edges among themselves, so rows 1..k-1 of the minor are
-    diag(a_1..a_(k-1)) on that side.  An isolated vertex there makes a zero
-    row.  Otherwise the minor is prod(a) * det S, with
-    S = L_OO - sum over i >= 1 of L[O][i] L[i][O] / a_i the Schur complement
-    onto the other side O, of n = len(lap) - k vertices.  With D = lcm(a),
-    D*S is an integer n x n block and det(D*S) = D^n det S, so
-    prod(a) * det(D*S) is divisible by D^n; a remainder means a wrong
-    determinant and is a hard error.
-    """
-    a = [lap[i][i] for i in range(1, k)]
-    if 0 in a:
-        return 0
-    den = lcm(*a)
-    orows = lap[k:]
-    block = [[den * v for v in row[k:]] for row in orows]
-    for i, ai in enumerate(a, start=1):
-        w = den // ai
-        right = [(z, v) for z, v in enumerate(lap[i][k:]) if v]
-        for y, row in enumerate(orows):
-            if row[i]:
-                out = block[y]
-                wy = w * row[i]
-                for z, v in right:
-                    out[z] -= wy * v
-    scale = den ** len(block)
-    t, rest = divmod(prod(a) * bareiss_det(block), scale)
-    if rest:
-        raise IdentityViolation(
-            f"prod(a) * det(D*S) is not a multiple of D^n = {scale}: remainder {rest}"
-        )
-    return t
+from .linalg import bareiss_det
 
 
 def tau_matrix_tree(g: BipartiteGraph) -> int:
-    """Number of spanning trees, as a Laplacian minor determinant.
+    """Number of spanning trees, as the Laplacian minor at y_0 with X the short side.
 
-    A graph with an isolated vertex (an empty neighborhood, or an x in no
-    neighborhood) has no spanning tree, and the count returns 0 before it
-    builds any matrix, so a header alone cannot make it allocate (m+n)^2
-    entries.  Otherwise the count reads nothing but laplacian_rows.  tau is
-    the same for a graph and its transpose, so when n > m it counts the
-    transpose: the long side is then X, and _minor_det_at_0 deletes x_0,
-    eliminates the rest of X in closed form and runs Bareiss on the
-    min(m, n) square block of the short side.  The count is an exact
-    nonnegative integer; a negative determinant would mean a bug and is a
-    hard error.  Disconnected graphs give 0, not an error.  Campaigns check
-    the count against tau_brute_force, which reads only g.edges().
+    A graph with an isolated vertex has no spanning tree, and the count
+    returns 0 before it builds anything.  Otherwise it counts the transpose
+    when m > n, the rule verify_graph decides by.  Y has no inner edges, so
+    the minor is prod(b_1..b_(n-1)) det S for the m x m Schur complement
+    S = diag(a) - sum over j >= 1 of 1_(T_j) 1_(T_j)^T / b_j.  With
+    D = lcm(b_1..b_(n-1)) the integer rows of D*S are built straight from
+    the neighborhoods, the x-degrees a counted on the diagonal in the same
+    loop, and tau = prod(b) det(D*S) / D^m; a remainder or a negative count
+    is a hard error.  Disconnected graphs give 0.  The count reads no degree
+    count and not scaled_schur; campaigns check it against tau_brute_force,
+    which reads only g.edges().
     """
     if not _covers(g.m, g.nbrs):
         return 0
-    if g.n > g.m:
+    if g.m > g.n:
         g = _transpose(g)
-    t = _minor_det_at_0(laplacian_rows(g), g.m)
+    b = [t.bit_count() for t in g.nbrs[1:]]
+    den = lcm(*b)
+    block = [[0] * g.m for _ in range(g.m)]
+    for i in bit_indices(g.nbrs[0]):  # y_0 is deleted: its edges reach only the diagonal
+        block[i][i] += den
+    for t, bj in zip(g.nbrs[1:], b):
+        w = den // bj
+        members = list(bit_indices(t))
+        for i in members:
+            row = block[i]
+            row[i] += den
+            for k in members:
+                row[k] -= w
+    scale = den**g.m
+    t, rest = divmod(prod(b) * bareiss_det(block), scale)
+    if rest:
+        raise IdentityViolation(
+            f"prod(b) * det(D*S) is not a multiple of D^m = {scale}: remainder {rest}"
+        )
     if t < 0:
         raise IdentityViolation(f"negative Laplacian minor determinant {t}")
     return t

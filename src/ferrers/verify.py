@@ -85,20 +85,22 @@ def record_dict(rec: VerificationRecord) -> dict:
 def verify_graph(g: BipartiteGraph) -> VerificationRecord:
     """Verify one connected graph: bound, equality vs staircase shape, cross-checks.
 
-    The inequality and equality verdicts compare tau against
+    tau, F and the staircase shape are the same for g and its transpose, so
+    the checks run on the short side h: the transpose when m > n, else g.
+    The tree count takes h as it is, so g is transposed at most once.  The
+    inequality and equality verdicts compare tau against
     F = ferrers_invariant as exact rationals, with the degrees scaled_schur
     returns.  The reduction identity and the exact majorization certificate
     (certify_majorization) check the integer rows of D*M that scaled_schur
-    builds once; no eigenvalue is computed.  tau, F and the staircase shape
-    are the same for g and its transpose, so, like the tree count, these run
-    on the short side: on the transpose when m > n.  The certificate's
-    elimination gives det(D*M) to the reduction; when it fails, bareiss_det
-    takes it on a copy of the rows.  scaled_schur refuses a disconnected
-    graph before the tree count; one with an isolated vertex is not transposed.
+    builds once; no eigenvalue is computed.  The certificate's elimination
+    gives det(D*M) to the reduction; when it fails, bareiss_det takes it on
+    a copy of the rows.  scaled_schur refuses a disconnected graph before
+    the tree count; one with an isolated vertex is not transposed.  The
+    record's graph and staircase verdict are those of g.
     """
     h = _transpose(g) if g.m > g.n and _covers(g.m, g.nbrs) else g
     scaled = scaled_schur(h)
-    tau = tau_matrix_tree(g)
+    tau = tau_matrix_tree(h)
     try:
         det = certify_majorization(h, scaled)[-1]
         majorizes = True

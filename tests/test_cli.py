@@ -10,7 +10,7 @@ import pytest
 
 from ferrers import spectral
 from ferrers.cli import main
-from ferrers.graphs import BipartiteGraph, parse_graph
+from ferrers.graphs import BipartiteGraph, is_connected, parse_graph
 
 HEX_TEXT = "3 3\n0 1\n1 2\n0 2\n"
 K22_TEXT = "2 2\n0 1\n0 1\n"
@@ -232,6 +232,14 @@ class TestEnumerate:
         for line in lines:
             parse_graph(json.loads(line)["graph"])
 
+    def test_csv_has_one_header(self, capsys):
+        assert main(["enumerate", "2", "2", "--format", "csv"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 5
+        graphs = [parse_graph(row["graph"]) for row in rows]
+        assert all(is_connected(g) for g in graphs)
+        assert len({g.nbrs for g in graphs}) == 5
+
     def test_dedupe(self, capsys):
         main(["enumerate", "2", "2", "--dedupe"])
         assert len(capsys.readouterr().out.splitlines()) == 2
@@ -300,6 +308,17 @@ class TestVerify:
 
     def test_cap_exceeded(self, capsys):
         assert main(["verify", "5", "5"]) == 2
+
+    def test_cap_refuses_before_listing_pairs(self, capsys):
+        # A million (m, n) pairs would take over 100 MB before the refusal.
+        tracemalloc.start()
+        try:
+            assert main(["verify", "1000", "1000"]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert "pair (1000, 1000) exceeds the enumeration cap 20" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["0", "3"], ["3", "0"]])
     def test_empty_range_is_input_error(self, argv, capsys):

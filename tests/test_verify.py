@@ -1,6 +1,7 @@
 """Campaign driver: single-graph records, exhaustive sweeps, failure categories."""
 
 import json
+import math
 import random
 import re
 import tracemalloc
@@ -155,6 +156,42 @@ class TestVerifyGraph:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("m,n", [(3000, 1), (1, 3000)])
+    def test_star_builds_no_laplacian(self, m, n):
+        # The tree count builds a min(m, n) square block, so a lopsided star
+        # costs no (m+n)^2 Laplacian (about 70 MB for K_{3000,1}).
+        g = complete(m, n)
+        tracemalloc.start()
+        try:
+            assert trees.tau_matrix_tree(g) == 1
+            rec = verify_graph(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.tau == rec.F == 1 and rec.equality and rec.ferrers
+        assert peak < 1 << 20
+
+    def test_transposes_exactly_when_m_exceeds_n(self, monkeypatch):
+        # One orientation rule for the record and its tree count: a graph
+        # with m > n is transposed once, and one with m <= n never.
+        calls = []
+
+        def recording(g):
+            calls.append(g)
+            return _transpose(g)
+
+        for module in ("verify", "trees"):
+            monkeypatch.setattr(f"ferrers.{module}._transpose", recording)
+        checked = 0
+        for m in range(1, 13):
+            for n in range(1, 12 // m + 1):
+                for g in enumerate_connected(m, n):
+                    calls.clear()
+                    verify_graph(g)
+                    assert calls == ([g] if m > n else []), write_graph(g)
+                    checked += 1
+        assert checked == 5743
 
     def test_transpose_gives_the_same_record(self):
         # tau, F and the staircase shape are the same for g and its
@@ -436,24 +473,19 @@ class TestCampaigns:
     def test_wrong_closed_form_counts_oracle_on_every_graph(self, monkeypatch):
         # The tree count eliminates one side in closed form; the brute-force
         # count, which reads only the edge list, is the independent route.
-        exact = trees._minor_det_at_0
-        monkeypatch.setattr(trees, "_minor_det_at_0", lambda lap, k: exact(lap, k) + 1)
+        # Doubling det(D*S) doubles the count and leaves no remainder.
+        monkeypatch.setattr(trees, "bareiss_det", lambda rows: 2 * linalg.bareiss_det(rows))
         s = verify_pairs([(3, 3)], oracle_edge_cap=14, fail_fast=False)
         assert s.oracle_checked == s.graphs_checked > 0
         assert s.failure_counts["oracle"] == s.graphs_checked
 
-    def test_laplacian_row_sum_fault_changes_no_record(self, monkeypatch):
-        # Diagonal +1 at x_0 leaves the minor at x_0, and so every verdict,
-        # unchanged: no category fires and every record is the sound one.
+    def test_larger_denominator_changes_no_record(self, monkeypatch):
+        # Any common multiple of b_1..b_(n-1) keeps D*S integral, and the
+        # count divides D^m back out: six times the lcm leaves every verdict
+        # unchanged, so no category fires and every record is the sound one.
         sound = []
         verify_pairs([(3, 3)], oracle_edge_cap=14, fail_fast=False, emit=sound.append)
-
-        def heavier_x0(g):
-            rows = linalg.laplacian_rows(g)
-            rows[0][0] += 1
-            return rows
-
-        monkeypatch.setattr(trees, "laplacian_rows", heavier_x0)
+        monkeypatch.setattr(trees, "lcm", lambda *b: 6 * math.lcm(*b))
         faulty = []
         s = verify_pairs([(3, 3)], oracle_edge_cap=14, fail_fast=False, emit=faulty.append)
         assert s.oracle_checked == s.graphs_checked == len(sound) > 0
@@ -477,17 +509,15 @@ class TestCampaigns:
 
     @pytest.mark.parametrize("oracle_edge_cap", [None, 14])
     def test_tree_count_error_is_tallied_on_its_graph(self, monkeypatch, oracle_edge_cap):
-        # The closed form raises on K_{2,2} only: a tally campaign counts
-        # "tau" on it, with or without the oracles, and goes on; fail-fast
-        # raises with the graph named.
-        exact = trees._minor_det_at_0
-
-        def broken_on_k22(lap, k):
-            if len(lap) == 4 and all(lap[i][i] == 2 for i in range(4)):
+        # The count raises on K_{2,2} only, whose block D*S is
+        # [[3, -1], [-1, 3]]: a tally campaign counts "tau" on it, with or
+        # without the oracles, and goes on; fail-fast raises with the graph named.
+        def broken_on_k22(rows):
+            if rows == [[3, -1], [-1, 3]]:
                 raise IdentityViolation("corrupted closed form")
-            return exact(lap, k)
+            return linalg.bareiss_det(rows)
 
-        monkeypatch.setattr(trees, "_minor_det_at_0", broken_on_k22)
+        monkeypatch.setattr(trees, "bareiss_det", broken_on_k22)
         records = []
         s = verify_pairs(
             [(2, 2)], oracle_edge_cap=oracle_edge_cap, fail_fast=False, emit=records.append
@@ -671,36 +701,20 @@ class TestFlagDiagonalization:
             equality_flag_diagonalization(PartitionSpec((3, 2, 1)))
 
 
-def _laplacian_with(edit):
-    """laplacian_rows with edit(g, rows) applied to the rows it returns."""
-
-    def fake(g):
-        rows = linalg.laplacian_rows(g)
-        edit(g, rows)
-        return rows
-
-    return fake
-
-
-def _last_edge(g):
-    # laplacian_rows places y_(n-1) last, and its highest x-neighbor last of those.
-    return g.nbrs[-1].bit_length() - 1, g.m + g.n - 1
-
-
-def _raise_last_diagonal(g, rows):
+def _block_diagonal_last_plus_one(rows):
+    # The tree count's Bareiss with its block's last diagonal entry raised by 1.
     rows[-1][-1] += 1
+    return linalg.bareiss_det(rows)
 
 
-def _drop_last_edge(g, rows):
-    i, y = _last_edge(g)
-    rows[i][y] = rows[y][i] = 0
-    rows[i][i] -= 1
-    rows[y][y] -= 1
+def _indices_without_highest(t):
+    # The tree count reads each neighborhood of two or more without its highest x.
+    return graphs.bit_indices(t ^ (1 << (t.bit_length() - 1)) if t & (t - 1) else t)
 
 
-def _drop_last_pair(g, rows):
-    i, y = _last_edge(g)
-    rows[i][y] = rows[y][i] = 0
+def _lcm_without_last(*b):
+    # The tree count's D with b_(n-1) left out.
+    return math.lcm(*b[:-1])
 
 
 def _det_plus_one_above_4(rows):
@@ -759,18 +773,18 @@ _FAULT_PAIRS = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
     "modules,name,fake,fired",
     [
         pytest.param(
-            ("trees",), "laplacian_rows", _laplacian_with(_raise_last_diagonal),
-            {"inequality": 253, "reduction": 253, "oracle": 253, "equality": 109},
-            id="laplacian-diagonal-last",
+            ("trees",), "bareiss_det", _block_diagonal_last_plus_one,
+            {"tau": 173, "reduction": 80, "oracle": 80, "inequality": 76, "equality": 50},
+            id="count-block-diagonal-last",
         ),
         pytest.param(
-            ("trees",), "laplacian_rows", _laplacian_with(_drop_last_edge),
-            {"reduction": 253, "oracle": 253, "equality": 109}, id="laplacian-drops-edge",
+            ("trees",), "bit_indices", _indices_without_highest,
+            {"reduction": 220, "oracle": 220, "equality": 90}, id="count-drops-highest-index",
         ),
         pytest.param(
-            ("trees",), "laplacian_rows", _laplacian_with(_drop_last_pair),
-            {"reduction": 230, "oracle": 230, "inequality": 230, "equality": 98},
-            id="laplacian-drops-pair",
+            ("trees",), "lcm", _lcm_without_last,
+            {"reduction": 90, "oracle": 90, "inequality": 90, "equality": 47, "tau": 15},
+            id="count-denominator-drops-last",
         ),
         pytest.param(
             ("trees", "verify"), "bareiss_det", _det_plus_one_above_4,
@@ -813,11 +827,13 @@ class TestFaultMatrix:
     it, never failed on a graph that no other category caught.
     bareiss_det + 1 above dimension 4 reaches no check: the tree count runs
     Bareiss on a min(m, n) square block, and the reduction reads det(D*M)
-    from leading_minors.  The tree count takes its minor at vertex 0 of the
-    Laplacian it builds, x_0 of the graph or of its transpose, so a raised
-    x_0 diagonal would change no record; the last diagonal entry lies in
-    the short side's block that Bareiss keeps, so raising it reaches every
-    count.  Every record a fault changes or loses is caught.
+    from leading_minors.  The three count-* rows break what the tree count
+    reads to build D*S: its block's last diagonal entry, the highest x of
+    each neighborhood, and b_(n-1) in D.  A wrong block that leaves
+    prod(b) det(D*S) off a multiple of D^m is refused by the count itself
+    ("tau"); one that does not is a wrong count, which the brute-force
+    oracle and the reduction catch.  Every record a fault changes or loses
+    is caught.
     """
 
     def test_categories_that_fire(self, monkeypatch, modules, name, fake, fired):
