@@ -8,12 +8,14 @@ beside it, so no verb takes a tolerance.  overlap refuses m above the
 default cap as an input bound, so that no index can make 1 << index large;
 its identity check is integer work.  ferrers-gen refuses a column height
 above the same cap before it builds any bitset.  Only enumerate and verify
-take --cap, a bound on m*n; corollary checks a graph of any size, because its
-tree sum is one integer cofactor and no tree is listed; its weights are
-integers, p/q or plain decimals, and one in exponent notation (1e9) is bad
-input, since its cost to parse grows with the exponent.  Each verb passes
-exact values as p/q strings.  Exit codes: 0 on success, 1 when a theorem check fails (a
-counterexample to the bound or a failed cross-check), 2 on bad input.
+take --cap, a bound on m*n; corollary takes a graph of any size, because its
+tree sum is one integer cofactor and no tree is listed, but that minor has
+m+n-1 rows, so its cost grows faster than (m+n)^3, as spectrum's Jacobi
+solve on M does with m; its weights are integers, p/q or plain decimals,
+and one in exponent notation (1e9) is bad input, since its cost to parse
+grows with the exponent.  Each verb passes exact values as p/q strings.
+Exit codes: 0 on success, 1 when a theorem check fails (a counterexample to
+the bound or a failed cross-check), 2 on bad input.
 """
 
 from __future__ import annotations

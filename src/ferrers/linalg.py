@@ -1,7 +1,7 @@
 """Exact linear algebra on integer rows, plus the structured matrices used here.
 
-Determinants and leading minors run fraction-free Bareiss elimination on
-integer rows, so no floating point enters any certified value.  The
+Determinants and leading minors read one fraction-free Bareiss elimination
+of integer rows, so no floating point enters any certified value.  The
 Laplacian, which the weighted corollary reads, and the matrix
 M = L_X + (n/m) J are each built once, as integer rows (over a common
 denominator D for M); the reduction identity and the majorization
@@ -31,53 +31,25 @@ def rat_str(x: Fraction | int) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def bareiss_det(rows: list[list[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free Bareiss elimination.
+def _bareiss(rows: list[list[int]], swap: bool) -> tuple[list[int], int]:
+    """Fraction-free elimination in place: the pivots and the sign of the row swaps.
 
-    Mutates its argument.  Every interior division is exact, so the result
-    is the exact determinant; row swaps flip the sign.
+    The k-th pivot is the leading k x k minor of the rows as swapped so far,
+    and each division by the previous pivot is exact (Bareiss 1968).  With
+    swap a zero pivot trades places with the first lower row that has a
+    nonzero entry in its column; a zero pivot that stays ends the list.
     """
     d = len(rows)
-    if d == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(d - 1):
-        if rows[k][k] == 0:
-            for r in range(k + 1, d):
-                if rows[r][k] != 0:
-                    rows[k], rows[r] = rows[r], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        rk = rows[k]
-        pivot = rk[k]
-        for i in range(k + 1, d):
-            ri = rows[i]
-            rik = ri[k]
-            for j in range(k + 1, d):
-                ri[j] = (ri[j] * pivot - rik * rk[j]) // prev
-            ri[k] = 0
-        prev = pivot
-    return sign * rows[d - 1][d - 1]
-
-
-def leading_minors(rows: list[list[int]]) -> list[int]:
-    """Leading principal minors of an integer matrix, by Bareiss with no row swap.
-
-    Mutates its argument.  Without swaps the k-th pivot of fraction-free
-    elimination is the determinant of the leading k x k block (Bareiss 1968),
-    so the last of d minors is the determinant.  Elimination stops at the
-    first zero pivot, which is then the last entry of a shorter list.
-    """
-    d = len(rows)
-    minors = []
-    prev = 1
+    pivots = []
+    sign = prev = 1
     for k in range(d):
+        if swap and rows[k][k] == 0:
+            r = next((r for r in range(k + 1, d) if rows[r][k]), k)
+            rows[k], rows[r] = rows[r], rows[k]
+            sign = sign if r == k else -sign
         rk = rows[k]
         pivot = rk[k]
-        minors.append(pivot)
+        pivots.append(pivot)
         if pivot == 0:
             break
         for i in range(k + 1, d):
@@ -86,7 +58,27 @@ def leading_minors(rows: list[list[int]]) -> list[int]:
             for j in range(k + 1, d):
                 ri[j] = (ri[j] * pivot - rik * rk[j]) // prev
         prev = pivot
-    return minors
+    return pivots, sign
+
+
+def bareiss_det(rows: list[list[int]]) -> int:
+    """Determinant of an integer matrix by fraction-free Bareiss elimination.
+
+    Mutates its argument.  Row swaps flip the sign of the last pivot, and
+    the 0 x 0 matrix, with no pivot, has determinant 1.
+    """
+    pivots, sign = _bareiss(rows, swap=True)
+    return sign * pivots[-1] if pivots else 1
+
+
+def leading_minors(rows: list[list[int]]) -> list[int]:
+    """Leading principal minors of an integer matrix, by Bareiss with no row swap.
+
+    Mutates its argument.  Without swaps the pivots are the leading minors,
+    so the last of d minors is the determinant.  Elimination stops at the
+    first zero pivot, which is then the last entry of a shorter list.
+    """
+    return _bareiss(rows, swap=False)[0]
 
 
 class RationalMatrix:

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, sqrt
+from itertools import accumulate
+from math import sqrt
 from typing import Sequence
 
 from .errors import IdentityViolation, NonConvergence
@@ -226,17 +227,16 @@ def report_dict(report: SpectralReport) -> dict:
     }
 
 
-def _prefix_defects(g: BipartiteGraph, dd: DegreeData) -> tuple[list[int], int, list[int]]:
-    """The degree order, L and the defect numerators of its prefixes.
+def _prefix_defects(g: BipartiteGraph, den: int, dd: DegreeData) -> tuple[list[int], list[int]]:
+    """The degree order and the defect numerators of its prefixes, over D.
 
     The order sorts the X-vertices by decreasing degree dd.a, ties by index;
-    [k] is its first k entries.  L is the lcm of the neighborhood sizes
-    |T_j| = dd.b.  For k = 1..m-1,
-    numers[k-1] = sum_j |[k] minus T_j| * |T_j minus [k]| * L / |T_j|,
-    so the total overlap defect of [k] is numers[k-1] / (k L).
+    [k] is its first k entries.  D = den is the denominator of scaled_schur,
+    which every neighborhood size |T_j| = dd.b divides.  For k = 1..m-1,
+    numers[k-1] = sum_j |[k] minus T_j| * |T_j minus [k]| * D / |T_j|,
+    so the total overlap defect of [k] is numers[k-1] / (k D).
     """
-    lcm_b = lcm(*dd.b)
-    weighted = [(t, lcm_b // b) for t, b in zip(g.nbrs, dd.b)]
+    weighted = [(t, den // b) for t, b in zip(g.nbrs, dd.b)]
     order = sorted(range(g.m), key=lambda i: (-dd.a[i], i))
     prefix = 0
     numers = []
@@ -245,7 +245,7 @@ def _prefix_defects(g: BipartiteGraph, dd: DegreeData) -> tuple[list[int], int, 
         numers.append(
             sum((prefix & ~t).bit_count() * (t & ~prefix).bit_count() * w for t, w in weighted)
         )
-    return order, lcm_b, numers
+    return order, numers
 
 
 def certify_majorization(g: BipartiteGraph, scaled: ScaledRows) -> list[int]:
@@ -257,11 +257,11 @@ def certify_majorization(g: BipartiteGraph, scaled: ScaledRows) -> list[int]:
     k = 1..m-1, Q_I = P_I + J/m is a rank-k orthogonal projection and M is
     the sum of the Q_(T_j), so
     tr(Q_I M) = sum(a_i, i in I) + the total overlap defect of I.  Times
-    D*k*m*L, with numer and L from _prefix_defects (the defect sums that
+    D*k*m, with numer from _prefix_defects (the defect sum over D that
     majorization_report shows), that is the integer identity
 
-        L*(m*k*sum(R_ii, i in I) - m*sum(R_il, (i, l) in IxI) + k*sum(R))
-            == D*m*(L*k*sum(a_i, i in I) + numer),
+        m*k*sum(R_ii, i in I) - m*sum(R_il, (i, l) in IxI) + k*sum(R)
+            == m*(D*k*sum(a_i, i in I) + numer),
 
     checked exactly beside R symmetric and tr R = D*sum(a).  By Ky Fan's
     maximum principle (Fan 1949) the k largest eigenvalues of M sum to at
@@ -274,7 +274,7 @@ def certify_majorization(g: BipartiteGraph, scaled: ScaledRows) -> list[int]:
     """
     den, rows, dd = scaled
     m = g.m
-    order, lcm_b, numers = _prefix_defects(g, dd)
+    order, numers = _prefix_defects(g, den, dd)
     if any(list(col) != row for row, col in zip(rows, zip(*rows))):
         raise IdentityViolation(f"D*M is not symmetric for:\n{write_graph(g)}")
     if sum(rows[i][i] for i in range(m)) != den * sum(dd.a):
@@ -287,11 +287,11 @@ def certify_majorization(g: BipartiteGraph, scaled: ScaledRows) -> list[int]:
         diag += ri[i]
         block += ri[i] + 2 * sum(ri[l] for l in order[: k - 1])
         deg += dd.a[i]
-        left = lcm_b * (m * k * diag - m * block + k * total)
-        right = den * m * (lcm_b * k * deg + numer)
+        left = m * k * diag - m * block + k * total
+        right = m * (den * k * deg + numer)
         if left != right:
             raise IdentityViolation(
-                f"D*k*m*L*tr(Q_I M) = {left} but D*m*(L*k*sum(a) + numer) = {right} "
+                f"D*k*m*tr(Q_I M) = {left} but m*(D*k*sum(a) + numer) = {right} "
                 f"at k={k} for:\n{write_graph(g)}"
             )
     minors = leading_minors([row[:] for row in rows])
@@ -314,25 +314,18 @@ def majorization_report(g: BipartiteGraph) -> SpectralReport:
     highest-degree X-vertices (ties broken by index), partial_gaps holds the
     partial eigenvalue sum minus the degree sum and defect_sums the total
     overlap defect of [k] against the neighborhoods, which Ky Fan's maximum
-    principle puts below that gap.  Each defect sum is one exact Fraction
-    over k * L, with L the lcm of the neighborhood sizes, so it does not
+    principle puts below that gap.  Each defect sum is the exact Fraction
+    numer / (k * D) whose numerator the certificate checked; it does not
     read the rows.  No float comparison decides anything here.
     """
     scaled = scaled_schur(g)
     certify_majorization(g, scaled)
     den, rows, dd = scaled
     spectrum = eigen_sym([[x / den for x in row] for row in rows])
-    order, lcm_b, numers = _prefix_defects(g, dd)
+    order, numers = _prefix_defects(g, den, dd)
     a_sorted = tuple(dd.a[i] for i in order)
-    gaps = []
-    defects = []
-    lam_sum = 0.0
-    deg_sum = 0
-    for k, numer in enumerate(numers, start=1):
-        lam_sum += spectrum.values[k - 1]
-        deg_sum += a_sorted[k - 1]
-        gaps.append(lam_sum - deg_sum)
-        defects.append(Fraction(numer, k * lcm_b))
+    gaps = [lam - deg for lam, deg in zip(accumulate(spectrum.values), accumulate(a_sorted[:-1]))]
+    defects = [Fraction(numer, k * den) for k, numer in enumerate(numers, start=1)]
     return SpectralReport(
         spectrum=spectrum,
         a_sorted=a_sorted,

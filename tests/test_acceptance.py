@@ -15,6 +15,7 @@ explicit 1e-9.
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import prod
 
 import pytest
@@ -236,25 +237,41 @@ def test_criterion_7_kyfan_maximum_principle():
     )
 
 
+def _staircases(limit: int):
+    # Every PartitionSpec with m + n <= limit: first part m, then n - 1
+    # weakly decreasing heights in 1..m.  A pair has C(m+n-2, n-1) shapes,
+    # so the pairs with m + n = s have 2^(s-2) together.
+    for m in range(1, limit):
+        for n in range(1, limit - m + 1):
+            for rest in combinations_with_replacement(range(m, 0, -1), n - 1):
+                yield PartitionSpec((m, *rest))
+
+
 def test_criterion_8_staircase_equality_family():
     rng = random.Random(BASE_SEED + 8)
+    seeded = []
     for _ in range(50):
         n = rng.randint(1, 8)
         heights = [rng.randint(1, 8)]
         for _ in range(n - 1):
             heights.append(rng.randint(1, heights[-1]))
-        p = PartitionSpec(tuple(heights))
+        seeded.append(PartitionSpec(tuple(heights)))
+    every = list(_staircases(14))
+    assert len(every) == 2**13 - 1
+    for p in every + seeded:
         g = ferrers_from_partition(p)
         assert is_ferrers(g)
-        tau = tau_matrix_tree(g)
-        assert tau == ferrers_invariant(g)  # exact Fraction == int comparison
-        assert equality_flag_diagonalization(p)  # det M = prod(a) exactly
-        dd = degrees(g)
-        assert matrix_M(g).det_exact() == prod(dd.a)
+        assert tau_matrix_tree(g) == ferrers_invariant(g)  # exact Fraction == int comparison
+        assert equality_flag_diagonalization(p)  # det(D*M) = D^m prod(a), by bareiss_det
+    for p in seeded:
+        g = ferrers_from_partition(p)
+        assert matrix_M(g).det_exact() == prod(degrees(g).a)
     _criterion(
         8,
         True,
-        "50 random staircase graphs with m, n <= 8: tau = F and det M = prod(a) exactly",
+        f"all {len(every)} staircase graphs with m + n <= 14 and 50 random ones with "
+        f"m, n <= 8: tau = F and the flag basis diagonalizes M; det M = prod(a) in "
+        f"Fractions on the 50",
     )
 
 

@@ -359,6 +359,16 @@ class TestCorollaryVerb:
         # the single graph line is taken as weights and the rest fails to parse
         assert main(["corollary"]) == 2
 
+    def test_one_line_input_is_refused(self, monkeypatch, capsys):
+        feed(monkeypatch, "1 1\n")
+        assert main(["corollary"]) == 2
+        assert "expected a graph followed by one line of weights" in capsys.readouterr().err
+
+    def test_blank_lines_after_the_weights(self, monkeypatch, capsys):
+        feed(monkeypatch, K22_TEXT + "1 1 1 1\n\n  \n")
+        assert main(["corollary"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"ok": True}
+
     def test_negative_weight(self, monkeypatch, capsys):
         feed(monkeypatch, K22_TEXT + "1 1 -1 1\n")
         assert main(["corollary"]) == 2
@@ -379,6 +389,25 @@ class TestErrorPaths:
         feed(monkeypatch, "2 2\n0 3\n0 1\n")
         assert main(["tau"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            pytest.param(
+                "3 3 3\n0\n1\n2\n", "expected header 'm n' or 'biadj', got '3 3 3'",
+                id="three-field-header",
+            ),
+            pytest.param("3 3\n0\n \n1 2\n", "line for y_1 is empty", id="blank-y1"),
+        ],
+    )
+    def test_header_and_blank_line_refused(self, monkeypatch, capsys, text, message):
+        feed(monkeypatch, text)
+        assert main(["tau"]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_enumerate_empty_part_refused(self, capsys):
+        assert main(["enumerate", "0", "3"]) == 2
+        assert "both parts must be nonempty" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         assert main(["tau", str(tmp_path / "nope.txt")]) == 2

@@ -73,10 +73,33 @@ class TestBareiss:
     def test_singular(self):
         assert bareiss_det([[1, 2], [2, 4]]) == 0
         assert bareiss_det([[0, 0], [0, 0]]) == 0
+        # A zero column first, in the middle (no row to swap in) and last.
+        for rows in (
+            [[0, 1, 2], [0, 3, 4], [0, 5, 6]],
+            [[1, 0, 2], [3, 0, 4], [5, 0, 7]],
+            [[1, 2, 0], [3, 4, 0], [5, 6, 0]],
+        ):
+            assert bareiss_det([row[:] for row in rows]) == 0
 
     def test_permutation_sign(self):
         rows = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
         assert bareiss_det(rows) == 1
+
+    def test_empty_matrix(self):
+        # One elimination serves both functions: no pivot is determinant 1
+        # and an empty list of minors.
+        assert bareiss_det([]) == 1
+        assert leading_minors([]) == []
+
+    def test_zero_leading_entry_swaps_with_its_sign(self):
+        # Nonsingular with a zero (0, 0) entry, so the elimination must swap:
+        # once in the 3 x 3 (the sign flips), twice in the 4 x 4 (it does not).
+        for rows, det in (
+            ([[0, 2, 1], [3, 1, 4], [5, 0, 2]], 23),
+            ([[0, 1, 2, 0], [0, 0, 3, 1], [4, 1, 0, 2], [1, 2, 1, 1]], 16),
+        ):
+            assert cofactor_det([[Fraction(v) for v in row] for row in rows]) == det
+            assert bareiss_det([row[:] for row in rows]) == det
 
     @given(st.integers(2, 5), st.randoms(use_true_random=False))
     def test_integer_matrices_match_cofactor(self, dim, rnd):
@@ -94,6 +117,13 @@ class TestLeadingMinors:
     def test_stops_at_a_zero_pivot_without_swapping(self):
         assert leading_minors([[0, 1], [1, 0]]) == [0]
         assert leading_minors([[1, 1, 0], [1, 1, 0], [0, 0, 1]]) == [1, 0]
+        # Nonsingular with a zero second pivot: the minors stop there, where
+        # bareiss_det swaps and goes on.
+        rows = [[1, 2, 3, 1], [2, 4, 1, 0], [1, 0, 2, 1], [0, 1, 1, 2]]
+        assert leading_minors([row[:] for row in rows]) == [1, 0]
+        det = cofactor_det([[Fraction(v) for v in row] for row in rows])
+        assert det != 0
+        assert bareiss_det([row[:] for row in rows]) == det
 
     @given(st.integers(1, 5), st.randoms(use_true_random=False))
     def test_match_cofactor_minors(self, dim, rnd):

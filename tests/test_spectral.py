@@ -19,6 +19,7 @@ from ferrers.graphs import (
 )
 from ferrers.linalg import bareiss_det, matrix_M, projection_Q, scaled_schur
 from ferrers.spectral import (
+    Spectrum,
     certify_majorization,
     eigen_sym,
     kyfan_check,
@@ -96,6 +97,13 @@ class TestEigenSym:
         monkeypatch.setattr("ferrers.spectral.FLOAT_TOL", -1.0)
         with pytest.raises(NonConvergence):
             eigen_sym(matrix_M(HEX).to_floats())
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        # One sweep rotates a non-diagonal 3 x 3 and so never sees a quiet
+        # sweep; the cap ends the loop with NonConvergence.
+        monkeypatch.setattr("ferrers.spectral.MAX_SWEEPS", 1)
+        with pytest.raises(NonConvergence, match="no convergence after 1 Jacobi sweeps"):
+            eigen_sym([[2.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 1.0]])
 
     def test_vectors_are_orthonormal(self):
         rng = random.Random(11)
@@ -233,6 +241,35 @@ class TestKyFan:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             kyfan_check([[1.0]], [[1.0, 0.0], [0.0, 0.0]], 1)
+
+    def test_ragged_projection_rejected(self):
+        with pytest.raises(ValueError, match="P must be square"):
+            kyfan_check([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0]], 1)
+
+    def test_bound_check_fires_on_lowered_eigenvalues(self, monkeypatch):
+        # Every eigenvalue one lower puts tr(PS) = 3 above the top-1 sum 2.
+        def lowered(mat):
+            s = eigen_sym(mat)
+            return Spectrum(tuple(v - 1.0 for v in s.values), s.vectors, s.residual)
+
+        monkeypatch.setattr("ferrers.spectral.eigen_sym", lowered)
+        s = [[3.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]]
+        top = [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        with pytest.raises(IdentityViolation, match="exceeds the top-1 eigenvalue sum"):
+            kyfan_check(s, top, 1)
+
+    def test_attainment_check_fires_on_swapped_vectors(self, monkeypatch):
+        # With the first two eigenvectors swapped the top-1 projection attains
+        # 2, not the top eigenvalue 3; the bound check passes on its own.
+        def swapped(mat):
+            s = eigen_sym(mat)
+            return Spectrum(s.values, (s.vectors[1], s.vectors[0]) + s.vectors[2:], s.residual)
+
+        monkeypatch.setattr("ferrers.spectral.eigen_sym", swapped)
+        s = [[3.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]]
+        bottom = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+        with pytest.raises(IdentityViolation, match="top-1 eigenprojection attains 2.0"):
+            kyfan_check(s, bottom, 1)
 
     def test_random_projections_never_beat_the_bound(self):
         rng = random.Random(37)
