@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
+from operator import add
+from typing import Iterator
 
 from .errors import CapExceeded, IdentityViolation, IsolatedVertex
 from .graphs import DEFAULT_CAP, BipartiteGraph, DegreeData, _covers, _transpose, bit_indices
@@ -25,8 +27,8 @@ def tau_matrix_tree(g: BipartiteGraph) -> int:
     the neighborhoods, the x-degrees a counted on the diagonal in the same
     loop, and tau = prod(b) det(D*S) / D^m; a remainder or a negative count
     is a hard error.  Disconnected graphs give 0.  The count reads no degree
-    count and not scaled_schur; campaigns check it against tau_brute_force,
-    which reads only g.edges().
+    count and not scaled_schur; campaigns check it against _tree_table,
+    which reads only the masks.
     """
     if not _covers(g.m, g.nbrs):
         return 0
@@ -56,20 +58,12 @@ def tau_matrix_tree(g: BipartiteGraph) -> int:
     return t
 
 
-def tau_brute_force(g: BipartiteGraph, *, cap: int = DEFAULT_CAP) -> int:
-    """Count spanning trees directly, as a determinant-free oracle.
+def _spanning_trees(pairs: list[tuple[int, int]], v: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Every (v-1)-subset of the edges pairs, on vertices 0..v-1, that has no cycle.
 
-    Tries every (m+n-1)-subset of the edge set; a subset is a spanning tree
-    exactly when the union-find pass finds no cycle, because an acyclic
-    graph with m+n-1 edges on m+n vertices is already spanning.  Only the
-    count is kept.  Refuses edge sets above the cap.
+    One union-find pass per subset; an acyclic graph with v-1 edges on v
+    vertices is already spanning, so these are exactly the spanning trees.
     """
-    edge_list = g.edges()
-    if len(edge_list) > cap:
-        raise CapExceeded(f"|E| = {len(edge_list)} exceeds the brute-force cap {cap}")
-    v = g.m + g.n
-    count = 0
-    pairs = [(i, g.m + j) for (i, j) in edge_list]
     base = list(range(v))
     for combo in combinations(pairs, v - 1):
         parent = base[:]
@@ -84,8 +78,58 @@ def tau_brute_force(g: BipartiteGraph, *, cap: int = DEFAULT_CAP) -> int:
                 break
             parent[u] = w
         else:
-            count += 1
-    return count
+            yield combo
+
+
+def tau_brute_force(g: BipartiteGraph, *, cap: int = DEFAULT_CAP) -> int:
+    """Count spanning trees directly, as a determinant-free oracle.
+
+    Tries every (m+n-1)-subset of the edge set and counts those that the
+    union-find pass finds acyclic.  Only the count is kept.  Refuses edge
+    sets above the cap.
+    """
+    edge_list = g.edges()
+    if len(edge_list) > cap:
+        raise CapExceeded(f"|E| = {len(edge_list)} exceeds the brute-force cap {cap}")
+    pairs = [(i, g.m + j) for (i, j) in edge_list]
+    return sum(1 for _ in _spanning_trees(pairs, g.m + g.n))
+
+
+def _tree_table(m: int, n: int, lo: int, hi: int) -> list[int]:
+    """Tree counts of a chunk of masks: entry mask - lo is tau(graph_from_mask(m, n, mask)).
+
+    The range must be aligned: hi - lo = 2^w with lo a multiple of it, so
+    every mask in it keeps the high bits of lo and any low w bits, and hi - 1
+    is their union.  A graph's spanning trees are the spanning trees of
+    K_{m,n} whose edges it holds.  So the union-find pass runs once, on the
+    edges of hi - 1; a tree T lies inside a mask exactly when T's low bits
+    lie in the mask's.  Each tree adds 1 at its low bits, and a subset-sum
+    (zeta) transform over the w low bits (Yates 1937) sums every entry at
+    once.  Reads no matrix and no degree count; nothing is kept between calls.
+    """
+    size = hi - lo
+    if size < 1 or size & (size - 1) or lo % size:
+        raise ValueError(f"mask range [{lo}, {hi}) is not an aligned power of two")
+    bits = {
+        (i, m + j): 1 << (j * m + i)
+        for j in range(n)
+        for i in range(m)
+        if (hi - 1) >> (j * m + i) & 1
+    }
+    table = [0] * size
+    for tree in _spanning_trees(list(bits), m + n):
+        table[sum(map(bits.__getitem__, tree)) & (size - 1)] += 1
+    for k in range(size.bit_length() - 1):
+        # Add each entry without bit k into the one with it: by strided
+        # slices while there are more blocks of 2^k entries than entries a block.
+        step, span = 1 << k, 2 << k
+        if step * span < size:
+            for r in range(step, span):
+                table[r::span] = map(add, table[r::span], table[r - step :: span])
+        else:
+            for mid in range(step, size, span):
+                table[mid : mid + step] = map(add, table[mid : mid + step], table[mid - step : mid])
+    return table
 
 
 def ferrers_invariant(g: BipartiteGraph, *, dd: DegreeData | None = None) -> Fraction:

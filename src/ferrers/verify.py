@@ -6,7 +6,9 @@ violation (or tallies them all), and can split mask ranges across worker
 processes.  A campaign computes no eigenvalue: each category it tallies
 (inequality, equality, reduction, majorization, the brute-force "oracle",
 and a tree count's own "tau" error) is decided in exact arithmetic; the
-Jacobi report stays with the spectrum verb.  A violation here would be a
+Jacobi report stays with the spectrum verb.  The oracle's counts come from
+one table per chunk of masks (trees._tree_table), built from the spanning
+trees of K_{m,n}, not from a search per graph.  A violation here would be a
 counterexample, so the offending graph is always serialized into the error.
 """
 
@@ -40,7 +42,8 @@ from .linalg import bareiss_det, laplacian_rows, rat_str, scaled_schur
 from .linalg import matrix_M  # noqa: F401  (uncalled here; perfbench/spans.py rebinds it)
 from .spectral import certify_majorization
 from .spectral import majorization_report  # noqa: F401  (uncalled here; perfbench/spans.py rebinds it)
-from .trees import check_reduction, ferrers_invariant, tau_brute_force, tau_matrix_tree
+from .trees import _tree_table, check_reduction, ferrers_invariant, tau_matrix_tree
+from .trees import tau_brute_force  # noqa: F401  (uncalled here; perfbench/spans.py rebinds it)
 
 
 @dataclass(frozen=True)
@@ -175,14 +178,15 @@ def summary_dict(s: CampaignSummary) -> dict:
 
 
 def _examine(
-    g: BipartiteGraph, oracle_edge_cap: int | None, fail_fast: bool
-) -> tuple[VerificationRecord | None, list[str], bool]:
-    """Record and failed categories for one graph, and whether the oracle ran.
+    g: BipartiteGraph, brute: int | None, fail_fast: bool
+) -> tuple[VerificationRecord | None, list[str]]:
+    """Record and failed categories for one graph.
 
-    On a graph with at most oracle_edge_cap edges the record's tree count is
-    compared with tau_brute_force, which reads only g.edges(), so it shares
-    no code with the Laplacian minor it checks.  No eigenvalue is computed:
-    the majorization verdict is the record's exact certificate.
+    brute is g's brute-force tree count from its chunk's _tree_table, or
+    None when the oracle is off for g; the table reads only the masks, so it
+    shares no code with the Laplacian minor it checks, and the record's tree
+    count must equal it.  No eigenvalue is computed: the majorization
+    verdict is the record's exact certificate.
 
     Without fail_fast one graph's hard error is a category too, so a tally
     campaign goes on: an IdentityViolation from verify_graph, whose only
@@ -190,7 +194,6 @@ def _examine(
     graph without a record (and without the brute-force comparison).  With
     fail_fast it propagates.
     """
-    oracled = oracle_edge_cap is not None and g.edge_count <= oracle_edge_cap
     try:
         rec = verify_graph(g)
         bad = rec.failures
@@ -199,9 +202,9 @@ def _examine(
             raise
         rec = None
         bad = ["tau"]
-    if oracled and rec is not None and tau_brute_force(g, cap=oracle_edge_cap) != rec.tau:
+    if brute is not None and rec is not None and brute != rec.tau:
         bad.append("oracle")
-    return rec, bad, oracled
+    return rec, bad
 
 
 def _run_chunk(
@@ -210,16 +213,21 @@ def _run_chunk(
     m, n, lo, hi = chunk
     tally = CampaignSummary((m, n))
     records: list[dict] | None = [] if collect else None
+    # A connected graph has at least m+n-1 edges: below that cap, as with
+    # none, no graph is oracled and the chunk builds no table.
+    oracle_cap = -1 if oracle_edge_cap is None else oracle_edge_cap
+    table = _tree_table(m, n, lo, hi) if oracle_cap >= m + n - 1 else None
     for mask in range(lo, hi):
         if not _mask_connected(m, n, mask):
             continue
         g = graph_from_mask(m, n, mask)
+        oracled = mask.bit_count() <= oracle_cap
         try:
-            rec, bad, used_oracle = _examine(g, oracle_edge_cap, fail_fast)
+            rec, bad = _examine(g, table[mask - lo] if oracled else None, fail_fast)
         except Exception as exc:  # same type, so callers still catch it; now it names g
             raise type(exc)(f"{exc} for:\n{write_graph(g)}") from exc
         tally.graphs_checked += 1
-        tally.oracle_checked += used_oracle
+        tally.oracle_checked += oracled
         if rec is not None:
             tally.equality_cases += rec.equality
             tally.ferrers_count += rec.ferrers
@@ -254,8 +262,11 @@ def verify_pairs(
     first violating graph aborts the whole campaign inside a TheoremViolation;
     otherwise violations are tallied per category, and so is a tree count's
     IdentityViolation ("tau").  oracle_edge_cap turns on the brute-force
-    tree count for graphs with at most that many edges.  No eigenvalue is
-    computed: majorization is decided by the exact certificate.
+    tree count for graphs with at most that many edges: each chunk that can
+    hold such a graph builds one _tree_table of its masks' counts, in the
+    process that runs it, and each such graph's tree count is compared with
+    its entry.  No eigenvalue is computed: majorization is decided by the
+    exact certificate.
     emit receives one JSON-ready record per graph that has one: a graph
     whose tree count failed has none.
     The masks are cut into chunks (m, n, lo, hi), and one loop absorbs each

@@ -10,7 +10,6 @@ import pytest
 
 from ferrers import trees
 from ferrers.errors import IdentityViolation
-from ferrers.graphs import DEFAULT_CAP
 
 
 def _tau_plus_one(g):
@@ -29,8 +28,8 @@ def _failed_certificate(g, scaled):
     raise IdentityViolation("corrupted majorization certificate")
 
 
-def _brute_force_plus_one(g, *, cap=DEFAULT_CAP):
-    return trees.tau_brute_force(g, cap=cap) + 1
+def _table_plus_one(m, n, lo, hi):
+    return [t + 1 for t in trees._tree_table(m, n, lo, hi)]
 
 
 CORRUPTIONS = {
@@ -38,7 +37,7 @@ CORRUPTIONS = {
     "equality": ("is_ferrers", _never_ferrers),
     "reduction": ("check_reduction", _failed_reduction),
     "majorization": ("certify_majorization", _failed_certificate),
-    "oracle": ("tau_brute_force", _brute_force_plus_one),
+    "oracle": ("_tree_table", _table_plus_one),
 }
 
 

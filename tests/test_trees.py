@@ -22,12 +22,13 @@ from ferrers.graphs import (
 from ferrers.linalg import bareiss_det, laplacian_rows, matrix_M, scaled_schur
 from ferrers.spectral import certify_majorization
 from ferrers.trees import (
+    _tree_table,
     check_reduction,
     ferrers_invariant,
     tau_brute_force,
     tau_matrix_tree,
 )
-from ferrers.verify import verify_graph
+from ferrers.verify import _CHUNK_MASKS, verify_graph
 from matrix_helpers import every_deletion_minor, spanning_trees
 
 HEX = BipartiteGraph(3, 3, (0b011, 0b110, 0b101))
@@ -271,6 +272,49 @@ class TestBruteForce:
         count = tau_brute_force(g)
         assert count == tau_matrix_tree(g)
         assert (count > 0) == is_connected(g)
+
+
+class TestTreeTable:
+    """_tree_table gives a chunk's brute-force counts from one pass over the
+    spanning trees of K_{m,n}; entry mask - lo must be tau_brute_force of
+    that mask's graph, disconnected graphs (0) included."""
+
+    @staticmethod
+    def brute_counts(m, n, lo, hi):
+        return [tau_brute_force(graph_from_mask(m, n, mask)) for mask in range(lo, hi)]
+
+    def test_every_mask_with_mn_at_most_12(self):
+        checked = 0
+        for m in range(1, 13):
+            for n in range(1, 12 // m + 1):
+                assert _tree_table(m, n, 0, 1 << (m * n)) == self.brute_counts(
+                    m, n, 0, 1 << (m * n)
+                ), (m, n)
+                checked += 1 << (m * n)
+        assert checked == 35978
+
+    def test_both_chunks_of_2_7(self):
+        for lo in (0, _CHUNK_MASKS):
+            hi = lo + _CHUNK_MASKS
+            assert _tree_table(2, 7, lo, hi) == self.brute_counts(2, 7, lo, hi)
+
+    def test_a_chunk_of_4_4_past_the_first(self):
+        # High bits 0b101: y_3's x_1 and x_3 are in every mask, x_2 in none.
+        lo = 5 * _CHUNK_MASKS
+        table = _tree_table(4, 4, lo, lo + _CHUNK_MASKS)
+        assert table == self.brute_counts(4, 4, lo, lo + _CHUNK_MASKS)
+        assert table[-1] == tau_matrix_tree(graph_from_mask(4, 4, lo + _CHUNK_MASKS - 1)) > 0
+
+    @pytest.mark.parametrize("lo,hi", [(0, 0), (0, 3), (0, 12), (4, 12), (2, 6), (8, 4)])
+    def test_refuses_a_range_that_is_not_an_aligned_power_of_two(self, lo, hi):
+        with pytest.raises(ValueError, match="aligned power of two"):
+            _tree_table(2, 2, lo, hi)
+
+    def test_aligned_sub_ranges_are_slices_of_the_whole(self):
+        whole = _tree_table(3, 3, 0, 1 << 9)
+        for width in (1, 2, 8, 64):
+            for lo in range(0, 1 << 9, width):
+                assert _tree_table(3, 3, lo, lo + width) == whole[lo : lo + width]
 
 
 class TestInvariant:

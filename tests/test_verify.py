@@ -35,6 +35,7 @@ from ferrers.graphs import (
 )
 from ferrers.linalg import RationalMatrix
 from ferrers.spectral import majorization_report
+from ferrers.trees import tau_brute_force
 from ferrers.verify import (
     _CHUNK_MASKS,
     _corollary_sides,
@@ -283,9 +284,10 @@ class TestSharedDataCounts:
             assert calls == {"degrees": 1, "is_connected": 1}
 
     def test_oracled_graph(self, calls):
-        # The brute-force count reads only the edge list: no guard and no degree count.
-        rec, bad, used_oracle = _examine(HEX, 14, True)
-        assert used_oracle and bad == []
+        # The brute-force table reads only the masks: no guard and no degree count.
+        hex_mask = sum(t << (3 * j) for j, t in enumerate(HEX.nbrs))
+        rec, bad = _examine(HEX, trees._tree_table(3, 3, 0, 1 << 9)[hex_mask], True)
+        assert rec.tau == 6 and bad == []
         assert calls == {"degrees": 1, "is_connected": 1}
 
     def test_flag_diagonalization(self, calls):
@@ -417,10 +419,10 @@ class TestCampaigns:
         # (2,7) spans two chunks of masks, so workers=2 really runs the pool.
         # A tally campaign counts a tree count's IdentityViolation as "tau";
         # an error of no expected type still ends it.
-        def broken(g, *, cap):
-            raise ZeroDivisionError("brute-force count broke")
+        def broken(g):
+            raise ZeroDivisionError("staircase test broke")
 
-        monkeypatch.setattr("ferrers.verify.tau_brute_force", broken)
+        monkeypatch.setattr("ferrers.verify.is_ferrers", broken)
         first = next(
             g for mask in range(1 << 14) if is_connected(g := graph_from_mask(2, 7, mask))
         )
@@ -429,9 +431,33 @@ class TestCampaigns:
             with pytest.raises(ZeroDivisionError) as exc:
                 verify_pairs([(2, 7)], oracle_edge_cap=14, fail_fast=False, workers=workers)
             messages.append(str(exc.value))
-        assert messages[0].startswith("brute-force count broke")
+        assert messages[0].startswith("staircase test broke")
         assert write_graph(first) in messages[0]
         assert messages[1] == messages[0]
+
+    def test_oracle_reads_the_chunk_tables_not_the_per_graph_count(self, monkeypatch):
+        # Each chunk's counts come from one table, so a campaign with the
+        # oracle on never calls tau_brute_force.
+        def refuse(g, *, cap=None):
+            raise AssertionError("a campaign called tau_brute_force")
+
+        monkeypatch.setattr("ferrers.verify.tau_brute_force", refuse)
+        monkeypatch.setattr("ferrers.trees.tau_brute_force", refuse)
+        s = verify_pairs([(3, 3), (2, 7)], oracle_edge_cap=14, fail_fast=False)
+        assert s.oracle_checked == s.graphs_checked == 205 + 2059
+        assert s.failure_counts == {}
+
+    def test_oracle_tables_match_serial_in_the_pool(self):
+        # (2,7) is two chunks, so a pool worker builds the table at lo = 2^13.
+        runs = []
+        for workers in (None, 2):
+            d = summary_dict(
+                verify_pairs([(2, 7)], oracle_edge_cap=14, fail_fast=False, workers=workers)
+            )
+            del d["wall_time"]
+            runs.append(d)
+        assert runs[0]["oracle_checked"] == runs[0]["graphs_checked"] == 2059
+        assert runs[1] == runs[0]
 
     def test_oracle_cross_check_counted(self):
         s = verify_pairs([(2, 2)], oracle_edge_cap=4)
@@ -855,8 +881,7 @@ class TestFaultMatrix:
         counts = Counter()
         for m, n in _FAULT_PAIRS:
             for g in enumerate_connected(m, n):
-                rec, bad, used_oracle = _examine(g, 14, False)
-                assert used_oracle
+                rec, bad = _examine(g, tau_brute_force(g), False)
                 if rec is None or record_dict(rec) != sound[g]:
                     assert bad, write_graph(g)
                 counts.update(bad)
