@@ -20,14 +20,18 @@ from .errors import (
 )
 
 DEFAULT_CAP = 20
+_BYTE_INDICES = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 
-def bit_indices(t: int) -> Iterator[int]:
-    """Indices of the set bits of t, ascending."""
-    while t:
-        low = t & -t
-        yield low.bit_length() - 1
-        t ^= low
+def bit_indices(t: int) -> list[int]:
+    """Indices of the set bits of t, ascending, read a byte at a time from one table."""
+    out = list(_BYTE_INDICES[t & 255])
+    base = 8
+    while t := t >> 8:
+        for i in _BYTE_INDICES[t & 255]:
+            out.append(base + i)
+        base += 8
+    return out
 
 
 @dataclass(frozen=True)
@@ -193,7 +197,11 @@ def graph_from_mask(m: int, n: int, mask: int) -> BipartiteGraph:
 
 def _mask_connected(m: int, n: int, mask: int) -> bool:
     full = (1 << m) - 1
-    return _nbrs_connected(m, [(mask >> (j * m)) & full for j in range(n)])
+    nbrs = []
+    while mask & full:  # an empty column is an isolated y: the rest is never extracted
+        nbrs.append(mask & full)
+        mask >>= m
+    return len(nbrs) == n and _nbrs_connected(m, nbrs)
 
 
 def _permute_bits(t: int, perm: Sequence[int]) -> int:

@@ -1,7 +1,7 @@
 """Exact linear algebra on integer rows, plus the structured matrices used here.
 
-Determinants and leading minors read one fraction-free Bareiss elimination
-of integer rows, so no floating point enters any certified value.  The
+Fraction-free Bareiss elimination gives determinants, with row swaps, and a
+symmetric matrix's leading minors from its upper triangle, with none.  The
 Laplacian, which the weighted corollary reads, and the matrix
 M = L_X + (n/m) J are each built once, as integer rows (over a common
 denominator D for M); the reduction identity and the majorization
@@ -31,54 +31,53 @@ def rat_str(x: Fraction | int) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _bareiss(rows: list[list[int]], swap: bool) -> tuple[list[int], int]:
-    """Fraction-free elimination in place: the pivots and the sign of the row swaps.
+def bareiss_det(rows: list[list[int]]) -> int:
+    """Determinant of an integer matrix by fraction-free Bareiss elimination.
 
-    The k-th pivot is the leading k x k minor of the rows as swapped so far,
-    and each division by the previous pivot is exact (Bareiss 1968).  With
-    swap a zero pivot trades places with the first lower row that has a
-    nonzero entry in its column; a zero pivot that stays ends the list.
+    Mutates its argument.  Each division by the previous pivot is exact
+    (Bareiss 1968).  A zero pivot swaps with the first lower row nonzero in
+    its column, or with none the determinant is 0; 1 for the 0 x 0 matrix.
     """
     d = len(rows)
-    pivots = []
     sign = prev = 1
     for k in range(d):
-        if swap and rows[k][k] == 0:
-            r = next((r for r in range(k + 1, d) if rows[r][k]), k)
-            rows[k], rows[r] = rows[r], rows[k]
-            sign = sign if r == k else -sign
+        r = next((r for r in range(k, d) if rows[r][k]), None)
+        if r is None:
+            return 0
+        rows[k], rows[r] = rows[r], rows[k]
+        sign = sign if r == k else -sign
         rk = rows[k]
         pivot = rk[k]
-        pivots.append(pivot)
-        if pivot == 0:
-            break
-        for i in range(k + 1, d):
-            ri = rows[i]
+        for ri in rows[k + 1 :]:
             rik = ri[k]
             for j in range(k + 1, d):
                 ri[j] = (ri[j] * pivot - rik * rk[j]) // prev
         prev = pivot
-    return pivots, sign
-
-
-def bareiss_det(rows: list[list[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free Bareiss elimination.
-
-    Mutates its argument.  Row swaps flip the sign of the last pivot, and
-    the 0 x 0 matrix, with no pivot, has determinant 1.
-    """
-    pivots, sign = _bareiss(rows, swap=True)
-    return sign * pivots[-1] if pivots else 1
+    return sign * prev
 
 
 def leading_minors(rows: list[list[int]]) -> list[int]:
-    """Leading principal minors of an integer matrix, by Bareiss with no row swap.
+    """Leading principal minors of a symmetric integer matrix, by Bareiss with no row swap.
 
-    Mutates its argument.  Without swaps the pivots are the leading minors,
-    so the last of d minors is the determinant.  Elimination stops at the
-    first zero pivot, which is then the last entry of a shorter list.
+    Mutates its argument and reads only its upper triangle: every trailing
+    block stays symmetric (Sylvester's identity), so row i is updated from
+    column i on and reads its column-k entry from row k.  The pivots are the
+    minors, the last of d the determinant; a zero one ends a shorter list.
     """
-    return _bareiss(rows, swap=False)[0]
+    minors = []
+    prev = 1
+    for k, rk in enumerate(rows):
+        pivot = rk[k]
+        minors.append(pivot)
+        if pivot == 0:
+            break
+        for i in range(k + 1, len(rows)):
+            ri = rows[i]
+            rki = rk[i]
+            for j in range(i, len(rows)):
+                ri[j] = (ri[j] * pivot - rki * rk[j]) // prev
+        prev = pivot
+    return minors
 
 
 class RationalMatrix:
@@ -224,7 +223,7 @@ def scaled_schur(g: BipartiteGraph) -> ScaledRows:
     rows = [[den * g.n // m] * m for _ in range(m)]
     for t, bj in zip(g.nbrs, dd.b):
         w = den // bj
-        members = list(bit_indices(t))
+        members = bit_indices(t)
         for i in members:
             row = rows[i]
             for k in members:

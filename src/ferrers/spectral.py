@@ -134,7 +134,7 @@ def overlap_trace(I: int, T: int, m: int) -> Fraction:
         raise ValueError(f"subsets use indices outside 0..{m - 1}")
     value = (I & T).bit_count() + overlap_defect(I, T)
     size_i, size_t = I.bit_count(), T.bit_count()
-    common = list(bit_indices(I & T))
+    common = bit_indices(I & T)
     s = sum((size_i * (i == k) - 1) * (size_t * (i == k) - 1) for i in common for k in common)
     exact = 1 + Fraction(s, size_i * size_t)
     if exact != value:

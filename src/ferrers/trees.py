@@ -12,7 +12,7 @@ from .errors import CapExceeded, IdentityViolation, IsolatedVertex
 from .graphs import DEFAULT_CAP, BipartiteGraph, DegreeData, _covers, _transpose, bit_indices
 from .graphs import degrees
 from .graphs import is_connected  # noqa: F401  (uncalled here; perfbench/spans.py rebinds it)
-from .linalg import bareiss_det
+from .linalg import leading_minors
 
 
 def tau_matrix_tree(g: BipartiteGraph) -> int:
@@ -22,13 +22,15 @@ def tau_matrix_tree(g: BipartiteGraph) -> int:
     returns 0 before it builds anything.  Otherwise it counts the transpose
     when m > n, the rule verify_graph decides by.  Y has no inner edges, so
     the minor is prod(b_1..b_(n-1)) det S for the m x m Schur complement
-    S = diag(a) - sum over j >= 1 of 1_(T_j) 1_(T_j)^T / b_j.  With
-    D = lcm(b_1..b_(n-1)) the integer rows of D*S are built straight from
+    S = diag(a) - sum over j >= 1 of 1_(T_j) 1_(T_j)^T / b_j of a principal
+    submatrix of the Laplacian, so S is positive semidefinite.  With
+    D = lcm(b_1..b_(n-1)) the upper triangle of D*S is built straight from
     the neighborhoods, the x-degrees a counted on the diagonal in the same
-    loop, and tau = prod(b) det(D*S) / D^m; a remainder or a negative count
-    is a hard error.  Disconnected graphs give 0.  The count reads no degree
-    count and not scaled_schur; campaigns check it against _tree_table,
-    which reads only the masks.
+    loop, and tau = prod(b) det(D*S) / D^m.  det(D*S) is the last leading
+    minor: a zero one makes a semidefinite matrix singular, so disconnected
+    graphs give 0.  A remainder or a negative count is a hard error.  The
+    count reads no degree count and not scaled_schur; campaigns check it
+    against _tree_table, which reads only the masks.
     """
     if not _covers(g.m, g.nbrs):
         return 0
@@ -37,18 +39,15 @@ def tau_matrix_tree(g: BipartiteGraph) -> int:
     b = [t.bit_count() for t in g.nbrs[1:]]
     den = lcm(*b)
     block = [[0] * g.m for _ in range(g.m)]
-    for i in bit_indices(g.nbrs[0]):  # y_0 is deleted: its edges reach only the diagonal
-        block[i][i] += den
-    for t, bj in zip(g.nbrs[1:], b):
-        w = den // bj
-        members = list(bit_indices(t))
-        for i in members:
+    for t, w in zip(g.nbrs, [0] + [den // bj for bj in b]):  # y_0, deleted: diagonal only
+        members = bit_indices(t)
+        for x, i in enumerate(members):
             row = block[i]
             row[i] += den
-            for k in members:
+            for k in members[x:]:
                 row[k] -= w
     scale = den**g.m
-    t, rest = divmod(prod(b) * bareiss_det(block), scale)
+    t, rest = divmod(prod(b) * leading_minors(block)[-1], scale)
     if rest:
         raise IdentityViolation(
             f"prod(b) * det(D*S) is not a multiple of D^m = {scale}: remainder {rest}"

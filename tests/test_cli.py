@@ -113,6 +113,24 @@ class TestSpectralVerbs:
         assert rep["defect_sums"] == ["1/1", "1/2"]
         assert rep["majorizes"] is True
 
+    def test_long_x_side_is_refused_before_m_is_built(self, monkeypatch, capsys):
+        # K_{65,1}, one above the cap on m: the Jacobi solve on X would grow
+        # faster than m^3, so M must not be built.
+        def refuse(g):
+            raise AssertionError("spectrum built M above its cap")
+
+        monkeypatch.setattr(spectral, "scaled_schur", refuse)
+        feed(monkeypatch, "65 1\n" + " ".join(map(str, range(65))) + "\n")
+        assert main(["spectrum"]) == 2
+        assert "m = 65 exceeds the spectrum input cap 64" in capsys.readouterr().err
+
+    def test_long_y_side_still_runs(self, monkeypatch, capsys):
+        # K_{1,65}: the cap bounds m, the side M is built on, not n.
+        feed(monkeypatch, "1 65\n" + "0\n" * 65)
+        assert main(["spectrum"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["a_sorted"] == [65] and rep["majorizes"] is True
+
     def test_majorize_is_rejected(self, hexfile, capsys):
         assert main(["majorize", hexfile]) == 2
         assert capsys.readouterr().out == ""

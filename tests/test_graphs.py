@@ -16,7 +16,9 @@ from ferrers.errors import (
 from ferrers.graphs import (
     BipartiteGraph,
     PartitionSpec,
+    _mask_connected,
     _transpose,
+    bit_indices,
     canonical_form,
     degrees,
     enumerate_connected,
@@ -108,6 +110,18 @@ class TestBiadjacency:
             from_biadjacency([[1, 0], [1]])
 
 
+class TestBitIndices:
+    @given(st.integers(0, 1 << 70))
+    def test_matches_bit_tests(self, t):
+        assert bit_indices(t) == [i for i in range(t.bit_length()) if t >> i & 1]
+
+    def test_byte_boundaries(self):
+        assert bit_indices(0) == []
+        assert bit_indices(0b1000_0001) == [0, 7]
+        assert bit_indices(1 << 8 | 1 << 15 | 1 << 16) == [8, 15, 16]
+        assert bit_indices((1 << 3000) - 1) == list(range(3000))
+
+
 class TestDegrees:
     def test_hexagon(self):
         dd = degrees(HEX)
@@ -148,6 +162,16 @@ class TestConnectivity:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_mask_scan_matches_is_connected(self):
+        # The campaigns' mask test stops at the first empty column; it must
+        # agree with the graph built from the whole mask on every mask of
+        # every pair with m*n <= 12.
+        for m in range(1, 13):
+            for n in range(1, 12 // m + 1):
+                for mask in range(1 << (m * n)):
+                    expected = is_connected(graph_from_mask(m, n, mask))
+                    assert _mask_connected(m, n, mask) == expected, (m, n, mask)
 
     @given(graphs())
     def test_matches_union_find(self, g):

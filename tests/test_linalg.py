@@ -56,6 +56,15 @@ rationals = st.fractions(
 )
 
 
+def symmetric_rows(dim, rnd):
+    """A random symmetric integer matrix with entries in -6..6."""
+    rows = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        for k in range(i, dim):
+            rows[i][k] = rows[k][i] = rnd.randint(-6, 6)
+    return rows
+
+
 @st.composite
 def square_matrices(draw, max_dim=4, min_dim=1):
     dim = draw(st.integers(min_dim, max_dim))
@@ -117,23 +126,31 @@ class TestLeadingMinors:
     def test_stops_at_a_zero_pivot_without_swapping(self):
         assert leading_minors([[0, 1], [1, 0]]) == [0]
         assert leading_minors([[1, 1, 0], [1, 1, 0], [0, 0, 1]]) == [1, 0]
-        # Nonsingular with a zero second pivot: the minors stop there, where
-        # bareiss_det swaps and goes on.
-        rows = [[1, 2, 3, 1], [2, 4, 1, 0], [1, 0, 2, 1], [0, 1, 1, 2]]
+        # Symmetric and nonsingular with a zero second pivot: the minors stop
+        # there, where bareiss_det swaps and goes on.
+        rows = [[1, 1, 1], [1, 1, 0], [1, 0, 1]]
         assert leading_minors([row[:] for row in rows]) == [1, 0]
-        det = cofactor_det([[Fraction(v) for v in row] for row in rows])
-        assert det != 0
-        assert bareiss_det([row[:] for row in rows]) == det
+        assert cofactor_det([[Fraction(v) for v in row] for row in rows]) == -1
+        assert bareiss_det([row[:] for row in rows]) == -1
 
     @given(st.integers(1, 5), st.randoms(use_true_random=False))
     def test_match_cofactor_minors(self, dim, rnd):
-        rows = [[rnd.randint(-6, 6) for _ in range(dim)] for _ in range(dim)]
+        rows = symmetric_rows(dim, rnd)
         expected = []
         for k in range(1, dim + 1):
             expected.append(cofactor_det([[Fraction(v) for v in row[:k]] for row in rows[:k]]))
             if expected[-1] == 0:
                 break
         assert leading_minors([row[:] for row in rows]) == expected
+
+    @given(st.integers(1, 5), st.randoms(use_true_random=False))
+    def test_reads_only_the_upper_triangle(self, dim, rnd):
+        # Junk below the diagonal changes no minor: the elimination reads
+        # each row from its diagonal on.
+        rows = symmetric_rows(dim, rnd)
+        junk = [[rnd.randint(-50, 50) if k < i else x for k, x in enumerate(row)]
+                for i, row in enumerate(rows)]
+        assert leading_minors(junk) == leading_minors([row[:] for row in rows])
 
     def test_determinant_matches_sympy_above_the_brute_force_cap(self):
         sympy = pytest.importorskip("sympy")

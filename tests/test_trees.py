@@ -1,6 +1,7 @@
 """Spanning tree counts: matrix-tree vs exhaustive search, the degree-product bound."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -13,13 +14,14 @@ from ferrers.errors import CapExceeded, DisconnectedGraph, IdentityViolation, Is
 from ferrers.graphs import (
     BipartiteGraph,
     PartitionSpec,
+    _covers,
     _transpose,
     enumerate_connected,
     ferrers_from_partition,
     graph_from_mask,
     is_connected,
 )
-from ferrers.linalg import bareiss_det, laplacian_rows, matrix_M, scaled_schur
+from ferrers.linalg import bareiss_det, laplacian_rows, leading_minors, matrix_M, scaled_schur
 from ferrers.spectral import certify_majorization
 from ferrers.trees import (
     _tree_table,
@@ -94,6 +96,28 @@ class TestMatrixTree:
         assert tau_matrix_tree(BipartiteGraph(2, 2, (0b01, 0b10))) == 0
         assert tau_matrix_tree(BipartiteGraph(1, 2, (1, 0))) == 0
 
+    def test_covered_disconnected_graphs_count_zero(self, monkeypatch):
+        # No isolated vertex, so the count builds its block, but more than
+        # one component, so D*S is singular.  It is positive semidefinite,
+        # so a zero leading minor before the last row already means det 0:
+        # every such graph with m*n <= 12 counts 0, as the brute force does,
+        # and both ways for the minors to end are taken.
+        ends = Counter()
+
+        def recording(rows):
+            minors = leading_minors(rows)
+            ends["early" if len(minors) < len(rows) else "last"] += 1
+            return minors
+
+        monkeypatch.setattr(ferrers.trees, "leading_minors", recording)
+        for m in range(1, 13):
+            for n in range(1, 12 // m + 1):
+                for mask in range(1 << (m * n)):
+                    g = graph_from_mask(m, n, mask)
+                    if _covers(m, g.nbrs) and not is_connected(g):
+                        assert tau_matrix_tree(g) == 0 == tau_brute_force(g), (m, n, mask)
+        assert ends == {"early": 586, "last": 432}
+
     @pytest.mark.parametrize(
         "g,count",
         [
@@ -147,7 +171,12 @@ class TestMatrixTree:
     )
     def test_wrong_block_determinant_caught(self, monkeypatch, fault, message):
         # K_{3,3}: D = 3, prod(b) = 9 and det(D*S) = det(9I - 2J) = 243, so tau = 81.
-        monkeypatch.setattr(ferrers.trees, "bareiss_det", lambda rows: fault(bareiss_det(rows)))
+        # The fault hits det(D*S), the last leading minor.
+        def faulty(rows):
+            *head, last = leading_minors(rows)
+            return [*head, fault(last)]
+
+        monkeypatch.setattr(ferrers.trees, "leading_minors", faulty)
         with pytest.raises(IdentityViolation, match=message):
             tau_matrix_tree(complete(3, 3))
 
@@ -192,9 +221,9 @@ class TestMatrixTree:
 
         def recording(rows):
             sizes.append(len(rows))
-            return bareiss_det(rows)
+            return leading_minors(rows)
 
-        monkeypatch.setattr(ferrers.trees, "bareiss_det", recording)
+        monkeypatch.setattr(ferrers.trees, "leading_minors", recording)
         for g in seeded_graphs(5, 60, [(m, n) for m in range(1, 11) for n in range(1, 11)]):
             sizes.clear()
             tau_matrix_tree(g)
@@ -223,7 +252,7 @@ class TestMatrixTree:
             raise AssertionError("tau_matrix_tree built its block")
 
         monkeypatch.setattr(ferrers.trees, "bit_indices", refuse)
-        monkeypatch.setattr(ferrers.trees, "bareiss_det", refuse)
+        monkeypatch.setattr(ferrers.trees, "leading_minors", refuse)
         assert tau_matrix_tree(g) == 0
 
 

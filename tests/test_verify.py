@@ -499,8 +499,9 @@ class TestCampaigns:
     def test_wrong_closed_form_counts_oracle_on_every_graph(self, monkeypatch):
         # The tree count eliminates one side in closed form; the brute-force
         # count, which reads only the edge list, is the independent route.
-        # Doubling det(D*S) doubles the count and leaves no remainder.
-        monkeypatch.setattr(trees, "bareiss_det", lambda rows: 2 * linalg.bareiss_det(rows))
+        # Doubling det(D*S), the last leading minor, doubles the count and
+        # leaves no remainder.
+        monkeypatch.setattr(trees, "leading_minors", _last_minor_faulted(lambda det: 2 * det))
         s = verify_pairs([(3, 3)], oracle_edge_cap=14, fail_fast=False)
         assert s.oracle_checked == s.graphs_checked > 0
         assert s.failure_counts["oracle"] == s.graphs_checked
@@ -535,15 +536,16 @@ class TestCampaigns:
 
     @pytest.mark.parametrize("oracle_edge_cap", [None, 14])
     def test_tree_count_error_is_tallied_on_its_graph(self, monkeypatch, oracle_edge_cap):
-        # The count raises on K_{2,2} only, whose block D*S is
-        # [[3, -1], [-1, 3]]: a tally campaign counts "tau" on it, with or
-        # without the oracles, and goes on; fail-fast raises with the graph named.
+        # The count raises on K_{2,2} only, whose block D*S is built as its
+        # upper triangle [[3, -1], [0, 3]]: a tally campaign counts "tau" on
+        # it, with or without the oracles, and goes on; fail-fast raises with
+        # the graph named.
         def broken_on_k22(rows):
-            if rows == [[3, -1], [-1, 3]]:
+            if rows == [[3, -1], [0, 3]]:
                 raise IdentityViolation("corrupted closed form")
-            return linalg.bareiss_det(rows)
+            return linalg.leading_minors(rows)
 
-        monkeypatch.setattr(trees, "bareiss_det", broken_on_k22)
+        monkeypatch.setattr(trees, "leading_minors", broken_on_k22)
         records = []
         s = verify_pairs(
             [(2, 2)], oracle_edge_cap=oracle_edge_cap, fail_fast=False, emit=records.append
@@ -727,10 +729,20 @@ class TestFlagDiagonalization:
             equality_flag_diagonalization(PartitionSpec((3, 2, 1)))
 
 
+def _last_minor_faulted(fault):
+    """linalg.leading_minors with fault applied to the last minor, which the tree count reads."""
+
+    def faulty(rows):
+        *head, last = linalg.leading_minors(rows)
+        return [*head, fault(last)]
+
+    return faulty
+
+
 def _block_diagonal_last_plus_one(rows):
-    # The tree count's Bareiss with its block's last diagonal entry raised by 1.
+    # The tree count's elimination with its block's last diagonal entry raised by 1.
     rows[-1][-1] += 1
-    return linalg.bareiss_det(rows)
+    return linalg.leading_minors(rows)
 
 
 def _indices_without_highest(t):
@@ -744,11 +756,10 @@ def _lcm_without_last(*b):
 
 
 def _det_plus_one_above_4(rows):
-    return linalg.bareiss_det(rows) + (len(rows) > 4)
+    return _last_minor_faulted(lambda det: det + (len(rows) > 4))(rows)
 
 
-def _det_without_sign(rows):
-    return abs(linalg.bareiss_det(rows))
+_det_without_sign = _last_minor_faulted(abs)
 
 
 def _schur_without_diagonal_term(g):
@@ -799,7 +810,7 @@ _FAULT_PAIRS = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
     "modules,name,fake,fired",
     [
         pytest.param(
-            ("trees",), "bareiss_det", _block_diagonal_last_plus_one,
+            ("trees",), "leading_minors", _block_diagonal_last_plus_one,
             {"tau": 173, "reduction": 80, "oracle": 80, "inequality": 76, "equality": 50},
             id="count-block-diagonal-last",
         ),
@@ -813,7 +824,7 @@ _FAULT_PAIRS = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
             id="count-denominator-drops-last",
         ),
         pytest.param(
-            ("trees", "verify"), "bareiss_det", _det_plus_one_above_4,
+            ("trees", "spectral"), "leading_minors", _det_plus_one_above_4,
             {}, id="det-plus-one-above-4",
         ),
         pytest.param(
@@ -831,7 +842,7 @@ _FAULT_PAIRS = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
             {"reduction": 205}, id="minors-without-division",
         ),
         pytest.param(
-            ("trees", "verify"), "bareiss_det", _det_without_sign, {},
+            ("trees", "spectral"), "leading_minors", _det_without_sign, {},
             id="det-without-sign",
         ),
         pytest.param(
@@ -851,11 +862,13 @@ class TestFaultMatrix:
     Over all 5743 connected graphs with m*n <= 12 each row fires the same
     categories (ROADMAP item 12), and the Jacobi report, when campaigns ran
     it, never failed on a graph that no other category caught.
-    bareiss_det + 1 above dimension 4 reaches no check: the tree count runs
-    Bareiss on a min(m, n) square block, and the reduction reads det(D*M)
-    from leading_minors.  The three count-* rows break what the tree count
-    reads to build D*S: its block's last diagonal entry, the highest x of
-    each neighborhood, and b_(n-1) in D.  A wrong block that leaves
+    The last leading minor + 1 above dimension 4 reaches no check: the tree
+    count and the certificate both eliminate a min(m, n) square block, and
+    the reduction reads det(D*M) from the certificate's minors.  Neither
+    block has a negative determinant, so dropping the sign of the last
+    minor changes nothing either.  The three count-* rows break what the
+    tree count reads to build D*S: its block's last diagonal entry, the
+    highest x of each neighborhood, and b_(n-1) in D.  A wrong block that leaves
     prod(b) det(D*S) off a multiple of D^m is refused by the count itself
     ("tau"); one that does not is a wrong count, which the brute-force
     oracle and the reduction catch.  Every record a fault changes or loses
