@@ -10,8 +10,8 @@ its identity check is integer work.  ferrers-gen refuses a column height
 above the same cap before it builds any bitset.  Only enumerate and verify
 take --cap, a bound on m*n.  spectrum refuses m above 64 before it builds M,
 as its Jacobi solve took 0.7 s at m = 64 and 7.4 s at m = 100.  corollary
-takes any size, since its tree sum is one integer cofactor, but that minor has
-m+n-1 rows, so its cost grows faster than (m+n)^3.  Its weights are integers,
+takes any size, since its tree sum is one integer cofactor, which costs an
+m x m Bareiss elimination on the short side.  Its weights are integers,
 p/q or plain decimals; one in exponent notation (1e9) is bad input, since its
 cost to parse grows with the exponent.  Each verb passes exact values as p/q
 strings.  Exit codes: 0 on success, 1 when a theorem check fails (a

@@ -24,7 +24,9 @@ _BYTE_INDICES = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(25
 
 
 def bit_indices(t: int) -> list[int]:
-    """Indices of the set bits of t, ascending, read a byte at a time from one table."""
+    """Indices of the set bits of t >= 0, ascending, read a byte at a time from one table."""
+    if t < 0:
+        raise ValueError(f"bit_indices needs a nonnegative bitset, got {t}")
     out = list(_BYTE_INDICES[t & 255])
     base = 8
     while t := t >> 8:

@@ -1,12 +1,10 @@
 """Exact linear algebra on integer rows, plus the structured matrices used here.
 
 Fraction-free Bareiss elimination gives determinants, with row swaps, and a
-symmetric matrix's leading minors from its upper triangle, with none.  The
-Laplacian, which the weighted corollary reads, and the matrix
-M = L_X + (n/m) J are each built once, as integer rows (over a common
-denominator D for M); the reduction identity and the majorization
-certificate check the rows of D*M.  scaled_schur is the one place
-that refuses a disconnected graph, and every check on D*M goes through it.
+symmetric matrix's leading minors from its upper triangle, with none.
+scaled_schur builds M = L_X + (n/m) J once, as the integer rows of D*M over
+a common denominator D, which the reduction identity and the majorization
+certificate check; it is the one place that refuses a disconnected graph.
 RationalMatrix is the readable Fraction view, and the cached Fraction
 projection matrices are the reference for the projection algebra.
 """
@@ -161,18 +159,6 @@ class RationalMatrix:
 
     def to_floats(self) -> list[list[float]]:
         return [[float(x) for x in row] for row in self.rows]
-
-
-def laplacian_rows(g: BipartiteGraph) -> list[list[int]]:
-    """Integer Laplacian on X then Y: -1 per edge, the diagonal counted in the same loop."""
-    d = g.m + g.n
-    rows = [[0] * d for _ in range(d)]
-    for y, t in enumerate(g.nbrs, start=g.m):
-        for i in bit_indices(t):
-            rows[i][y] = rows[y][i] = -1
-            rows[i][i] += 1
-            rows[y][y] += 1
-    return rows
 
 
 @lru_cache(maxsize=None)

@@ -2,9 +2,10 @@
 
 The package builds its matrices from graphs; these plain functions give the
 tests the zero and identity matrices, principal submatrices, the adjugate
-and matrix-vector products of a RationalMatrix, the Schur complement L_X
-built from the Laplacian alone, every deletion minor of integer rows (a
-reference route for the closed-form tree count), and the spanning-tree
+and matrix-vector products of a RationalMatrix, the full (m+n)^2 integer
+Laplacian (the package builds only short-side blocks), the Schur complement
+L_X built from that Laplacian alone, every deletion minor of integer rows
+(a reference route for the closed-form tree count), and the spanning-tree
 list behind the reference route of the weighted corollary.
 """
 
@@ -14,8 +15,8 @@ from itertools import combinations
 from math import prod
 
 from ferrers.errors import DimensionError, IdentityViolation, IsolatedVertex
-from ferrers.graphs import BipartiteGraph, is_connected
-from ferrers.linalg import RationalMatrix, bareiss_det, laplacian_rows
+from ferrers.graphs import BipartiteGraph, bit_indices, is_connected
+from ferrers.linalg import RationalMatrix, bareiss_det
 
 
 def zeros(dim: int) -> RationalMatrix:
@@ -60,6 +61,18 @@ def adjugate(mat: RationalMatrix) -> RationalMatrix:
     return RationalMatrix(
         [[(-1) ** (i + j) * minor(mat, j, i).det_exact() for j in range(d)] for i in range(d)]
     )
+
+
+def laplacian_rows(g: BipartiteGraph) -> list[list[int]]:
+    """Integer Laplacian on X then Y: -1 per edge, the diagonal counted in the same loop."""
+    d = g.m + g.n
+    rows = [[0] * d for _ in range(d)]
+    for y, t in enumerate(g.nbrs, start=g.m):
+        for i in bit_indices(t):
+            rows[i][y] = rows[y][i] = -1
+            rows[i][i] += 1
+            rows[y][y] += 1
+    return rows
 
 
 def schur_LX(g: BipartiteGraph) -> RationalMatrix:

@@ -1,6 +1,7 @@
 """Graph construction, connectivity, staircase detection, enumeration, text I/O."""
 
 import random
+import signal
 import tracemalloc
 
 import pytest
@@ -120,6 +121,22 @@ class TestBitIndices:
         assert bit_indices(0b1000_0001) == [0, 7]
         assert bit_indices(1 << 8 | 1 << 15 | 1 << 16) == [8, 15, 16]
         assert bit_indices((1 << 3000) - 1) == list(range(3000))
+
+    @pytest.mark.parametrize("t", [-1, -256, -(1 << 70)])
+    def test_negative_raises_at_once(self, t):
+        # A negative int has infinitely many set bits; reading them would
+        # grow a list until memory runs out, so a timer stops a regression.
+        def expire(signum, frame):
+            raise TimeoutError("bit_indices did not refuse a negative int")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        try:
+            with pytest.raises(ValueError, match="nonnegative"):
+                bit_indices(t)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestDegrees:

@@ -21,7 +21,6 @@ from ferrers.graphs import (
 from ferrers.linalg import (
     RationalMatrix,
     bareiss_det,
-    laplacian_rows,
     leading_minors,
     matrix_M,
     projection_P,
@@ -30,7 +29,15 @@ from ferrers.linalg import (
     scaled_schur,
 )
 from ferrers.verify import verify_pairs
-from matrix_helpers import adjugate, delete_row_col, identity, mul_vec, schur_LX, zeros
+from matrix_helpers import (
+    adjugate,
+    delete_row_col,
+    identity,
+    laplacian_rows,
+    mul_vec,
+    schur_LX,
+    zeros,
+)
 
 HEX = BipartiteGraph(3, 3, (0b011, 0b110, 0b101))
 K22 = BipartiteGraph(2, 2, (0b11, 0b11))

@@ -21,7 +21,7 @@ from ferrers.graphs import (
     graph_from_mask,
     is_connected,
 )
-from ferrers.linalg import bareiss_det, laplacian_rows, leading_minors, matrix_M, scaled_schur
+from ferrers.linalg import bareiss_det, leading_minors, matrix_M, scaled_schur
 from ferrers.spectral import certify_majorization
 from ferrers.trees import (
     _tree_table,
@@ -31,7 +31,7 @@ from ferrers.trees import (
     tau_matrix_tree,
 )
 from ferrers.verify import _CHUNK_MASKS, verify_graph
-from matrix_helpers import every_deletion_minor, spanning_trees
+from matrix_helpers import every_deletion_minor, laplacian_rows, spanning_trees
 
 HEX = BipartiteGraph(3, 3, (0b011, 0b110, 0b101))
 K22 = BipartiteGraph(2, 2, (0b11, 0b11))

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -648,6 +649,50 @@ class TestCorollary:
                     assert left <= right
                     checked += 1
         assert checked == 35978
+
+    @pytest.mark.parametrize("m,n", [(3000, 1), (1, 3000)])
+    def test_star_sides_build_no_laplacian(self, m, n, monkeypatch):
+        # The sides come from a min(m, n) square block, so a lopsided star
+        # costs no (m+n)^2 Laplacian and no (m+n-1)-row elimination.
+        def short_side_only(rows):
+            assert len(rows) == 1, f"eliminated {len(rows)} rows of K_{{{m},{n}}}"
+            return linalg.bareiss_det(rows)
+
+        monkeypatch.setattr("ferrers.verify.bareiss_det", short_side_only)
+        g = complete(m, n)
+        for z in (self.ones(g), self.seeded_weights(random.Random(3000), m + n)):
+            start = time.perf_counter()
+            tracemalloc.start()
+            try:
+                assert corollary_check(g, z)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert time.perf_counter() - start < 1
+            assert peak < 2 << 20
+            left, right, scale = _corollary_sides(g, z)
+            assert (Fraction(left, scale), Fraction(right, scale)) == corollary_sides(g, z)
+
+    @pytest.mark.parametrize(
+        "g,z",
+        [
+            # Every long-side weight is 0, so the long side's sum is 0.
+            (K23, [1, 2, 0, 0, 0]),
+            (_transpose(K23), [0, 0, 0, 1, 2]),
+            (HEX, [1, 2, 3, 0, 0, 0]),
+            # y_1, not r = y_0, has neighbors of weight 0 only: a zero row.
+            (BipartiteGraph(2, 3, (0b11, 0b01, 0b10)), [0, 1, 1, 2, 1]),
+            (BipartiteGraph(3, 2, (0b011, 0b101)), [1, 2, 1, 0, 1]),
+            # r = y_1 itself has neighbors of weight 0 only: the block is built.
+            (BipartiteGraph(2, 3, (0b11, 0b01, 0b10)), [0, 1, 0, 1, 1]),
+        ],
+        ids=["long-zero", "long-zero-m>n", "long-zero-m=n", "zero-row", "zero-row-m>n", "r-zero"],
+    )
+    def test_degenerate_long_side(self, g, z):
+        left, right, scale = _corollary_sides(g, z)
+        assert (Fraction(left, scale), Fraction(right, scale)) == corollary_sides(g, z)
+        assert left == right == 0
+        assert corollary_check(g, z)
 
     def test_complete_bipartite_attains_equality(self):
         # Scoins: the tree sum of K_{m,n} is (sum over X)^(n-1) (sum over Y)^(m-1).
