@@ -8,8 +8,10 @@ processes.  A campaign computes no eigenvalue: each category it tallies
 and a tree count's own "tau" error) is decided in exact arithmetic; the
 Jacobi report stays with the spectrum verb.  The oracle's counts come from
 one table per chunk of masks (trees._tree_table), built from the spanning
-trees of K_{m,n}, not from a search per graph.  A violation here would be a
-counterexample, so the offending graph is always serialized into the error.
+trees of K_{m,n}, not from a search per graph.  Within a chunk the exact
+checks run once per sorted short side, the only thing they read; a raise is
+not kept.  A violation here would be a counterexample, so the offending
+graph is always serialized into the error.
 """
 
 from __future__ import annotations
@@ -89,10 +91,10 @@ def record_dict(rec: VerificationRecord) -> dict:
 def verify_graph(g: BipartiteGraph) -> VerificationRecord:
     """Verify one connected graph: bound, equality vs staircase shape, cross-checks.
 
-    tau, F and the staircase shape are the same for g and its transpose, so
-    the checks run on the short side h: the transpose when m > n, else g.
-    The tree count takes h as it is, so g is transposed at most once.  The
-    inequality and equality verdicts compare tau against
+    tau, F and the staircase shape are the same for g and its transpose, and
+    for any relabeling of Y, so the checks run on _short_side(g), the short
+    side with its neighborhoods sorted: the tree count deletes the smallest
+    one.  The inequality and equality verdicts compare tau against
     F = ferrers_invariant as exact rationals, with the degrees scaled_schur
     returns.  The reduction identity and the exact majorization certificate
     (certify_majorization) check the integer rows of D*M that scaled_schur
@@ -100,9 +102,20 @@ def verify_graph(g: BipartiteGraph) -> VerificationRecord:
     gives det(D*M) to the reduction; when it fails, bareiss_det takes it on
     a copy of the rows.  scaled_schur refuses a disconnected graph before
     the tree count; one with an isolated vertex is not transposed.  The
-    record's graph and staircase verdict are those of g.
+    record's graph and staircase verdict are those of g.  No memo is used.
     """
-    h = _transpose(g) if g.m > g.n and _covers(g.m, g.nbrs) else g
+    return _record(g, _verdicts(BipartiteGraph(*_short_side(g))))
+
+
+def _short_side(g: BipartiteGraph) -> tuple[int, int, tuple[int, ...]]:
+    """(m, n, sorted neighborhoods) of g's short side: the transpose when m > n, else g."""
+    if g.m > g.n and _covers(g.m, g.nbrs):
+        g = _transpose(g)
+    return g.m, g.n, tuple(sorted(g.nbrs))
+
+
+def _verdicts(h: BipartiteGraph) -> tuple[int, Fraction, bool, bool]:
+    """(tau, F, reduction_ok, majorizes) of a short side h; each reads only h.nbrs."""
     scaled = scaled_schur(h)
     tau = tau_matrix_tree(h)
     try:
@@ -115,17 +128,13 @@ def verify_graph(g: BipartiteGraph) -> VerificationRecord:
         reduction_ok = check_reduction(h, tau, scaled[0], scaled[2].b, det)
     except IdentityViolation:
         reduction_ok = False
-    F = ferrers_invariant(h, dd=scaled[2])
-    return VerificationRecord(
-        graph=g,
-        tau=tau,
-        F=F,
-        inequality_ok=tau <= F,
-        equality=tau == F,
-        ferrers=is_ferrers(g),
-        reduction_ok=reduction_ok,
-        majorizes=majorizes,
-    )
+    return tau, ferrers_invariant(h, dd=scaled[2]), reduction_ok, majorizes
+
+
+def _record(g: BipartiteGraph, verdicts: tuple[int, Fraction, bool, bool]) -> VerificationRecord:
+    """g's record from the verdicts of its short side; the staircase test reads g itself."""
+    tau, F, reduction_ok, majorizes = verdicts
+    return VerificationRecord(g, tau, F, tau <= F, tau == F, is_ferrers(g), reduction_ok, majorizes)
 
 
 @dataclass
@@ -179,7 +188,7 @@ def summary_dict(s: CampaignSummary) -> dict:
 
 
 def _examine(
-    g: BipartiteGraph, brute: int | None, fail_fast: bool
+    g: BipartiteGraph, brute: int | None, fail_fast: bool, memo: dict
 ) -> tuple[VerificationRecord | None, list[str]]:
     """Record and failed categories for one graph.
 
@@ -189,14 +198,22 @@ def _examine(
     count must equal it.  No eigenvalue is computed: the majorization
     verdict is the record's exact certificate.
 
+    memo, shared only by graphs of one (m, n), maps a short side's sorted
+    neighborhoods to its _verdicts, which read nothing else, so a graph whose
+    key is there reuses them exactly and builds no sorted graph; a raise is
+    never stored.
+
     Without fail_fast one graph's hard error is a category too, so a tally
-    campaign goes on: an IdentityViolation from verify_graph, whose only
-    uncaught one is its own tree count's, counts as "tau" and leaves the
-    graph without a record (and without the brute-force comparison).  With
+    campaign goes on: an IdentityViolation from the checks, whose only
+    uncaught one is the tree count's, counts as "tau" and leaves the graph
+    without a record (and without the brute-force comparison).  With
     fail_fast it propagates.
     """
     try:
-        rec = verify_graph(g)
+        m, n, key = _short_side(g)
+        if key not in memo:
+            memo[key] = _verdicts(BipartiteGraph(m, n, key))
+        rec = _record(g, memo[key])
         bad = rec.failures
     except IdentityViolation:
         if fail_fast:
@@ -211,9 +228,14 @@ def _examine(
 def _run_chunk(
     oracle_edge_cap: int | None, fail_fast: bool, collect: bool, chunk: tuple[int, int, int, int]
 ) -> tuple[CampaignSummary, list[dict] | None]:
+    """Tally (and records, when collect) of the connected graphs among masks lo..hi-1.
+
+    One memo of _verdicts for _examine serves the chunk and dies with it.
+    """
     m, n, lo, hi = chunk
     tally = CampaignSummary((m, n))
     records: list[dict] | None = [] if collect else None
+    memo: dict = {}
     # A connected graph has at least m+n-1 edges: below that cap, as with
     # none, no graph is oracled and the chunk builds no table.
     oracle_cap = -1 if oracle_edge_cap is None else oracle_edge_cap
@@ -224,7 +246,7 @@ def _run_chunk(
         g = graph_from_mask(m, n, mask)
         oracled = mask.bit_count() <= oracle_cap
         try:
-            rec, bad = _examine(g, table[mask - lo] if oracled else None, fail_fast)
+            rec, bad = _examine(g, table[mask - lo] if oracled else None, fail_fast, memo)
         except Exception as exc:  # same type, so callers still catch it; now it names g
             raise type(exc)(f"{exc} for:\n{write_graph(g)}") from exc
         tally.graphs_checked += 1
@@ -267,7 +289,8 @@ def verify_pairs(
     hold such a graph builds one _tree_table of its masks' counts, in the
     process that runs it, and each such graph's tree count is compared with
     its entry.  No eigenvalue is computed: majorization is decided by the
-    exact certificate.
+    exact certificate.  Each chunk keeps one memo (see _examine) from a
+    sorted short side to its verdicts, so the exact checks run once per key.
     emit receives one JSON-ready record per graph that has one: a graph
     whose tree count failed has none.
     The masks are cut into chunks (m, n, lo, hi), and one loop absorbs each

@@ -1,5 +1,6 @@
 """Campaign driver: single-graph records, exhaustive sweeps, failure categories."""
 
+import hashlib
 import json
 import math
 import random
@@ -8,6 +9,7 @@ import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -234,6 +236,31 @@ class TestVerifyGraph:
             assert len(majorization_report(g).spectrum.values) == g.m
             assert sizes == [min(g.m, g.n), g.m], write_graph(g)
 
+    def test_every_y_relabeling_gives_the_same_record(self):
+        # The checks read the short side's neighborhoods sorted, so relabeling
+        # Y, before or after a transpose, changes only the record's graph.
+        # Every Y-permutation is tried up to n = 6, and 240 seeded ones above.
+        rng = random.Random(29)
+        checked = 0
+        while checked < 12:
+            m, n = rng.randint(2, 8), rng.randint(2, 8)
+            g = BipartiteGraph(m, n, tuple(rng.randint(1, (1 << m) - 1) for _ in range(n)))
+            if not is_connected(g):
+                continue
+            sound = record_dict(verify_graph(g))
+            del sound["graph"]
+            orders = (
+                permutations(g.nbrs) if n <= 6
+                else (tuple(rng.sample(g.nbrs, n)) for _ in range(240))
+            )
+            for nbrs in orders:
+                h = BipartiteGraph(m, n, nbrs)
+                for k in (h, _transpose(h)):
+                    rec = record_dict(verify_graph(k))
+                    assert rec.pop("graph") == write_graph(k)
+                    assert rec == sound, write_graph(k)
+            checked += 1
+
     def test_record_dict_shape(self):
         d = record_dict(verify_graph(HEX))
         assert set(d) == {
@@ -287,7 +314,7 @@ class TestSharedDataCounts:
     def test_oracled_graph(self, calls):
         # The brute-force table reads only the masks: no guard and no degree count.
         hex_mask = sum(t << (3 * j) for j, t in enumerate(HEX.nbrs))
-        rec, bad = _examine(HEX, trees._tree_table(3, 3, 0, 1 << 9)[hex_mask], True)
+        rec, bad = _examine(HEX, trees._tree_table(3, 3, 0, 1 << 9)[hex_mask], True, {})
         assert rec.tau == 6 and bad == []
         assert calls == {"degrees": 1, "is_connected": 1}
 
@@ -521,19 +548,37 @@ class TestCampaigns:
         assert faulty == sound
 
     def test_oracled_graphs_compute_tau_once(self, monkeypatch):
+        # (2,7) spans two chunks of masks and (3,2) is transposed: the count
+        # runs on each chunk's distinct sorted short sides, in order of first
+        # appearance, while every labeled graph is still checked and emitted.
         calls = []
 
         def counting(g):
             calls.append(g)
             return trees.tau_matrix_tree(g)
 
+        expected, labeled = [], []
+        for m, n in ((2, 7), (3, 2)):
+            for lo in range(0, 1 << (m * n), _CHUNK_MASKS):
+                keys = {}
+                for mask in range(lo, min(lo + _CHUNK_MASKS, 1 << (m * n))):
+                    if is_connected(g := graph_from_mask(m, n, mask)):
+                        labeled.append(write_graph(g))
+                        keys.setdefault(tuple(sorted((_transpose(g) if m > n else g).nbrs)))
+                expected += [BipartiteGraph(min(m, n), max(m, n), key) for key in keys]
+        assert len(set(expected)) < len(expected) < len(labeled) == 2059 + 19
         monkeypatch.setattr("ferrers.verify.tau_matrix_tree", counting)
-        s = verify_pairs([(2, 3)], oracle_edge_cap=14, fail_fast=False)
-        assert s.oracle_checked == s.graphs_checked > 0
-        assert calls == list(enumerate_connected(2, 3))
-        calls.clear()
-        verify_pairs([(2, 3)], fail_fast=False)
-        assert calls == list(enumerate_connected(2, 3))
+        for oracle_edge_cap in (14, None):
+            calls.clear()
+            records = []
+            s = verify_pairs(
+                [(3, 2), (2, 7)], oracle_edge_cap=oracle_edge_cap, fail_fast=False,
+                emit=records.append,
+            )
+            assert s.oracle_checked == (len(labeled) if oracle_edge_cap else 0)
+            assert s.graphs_checked == len(labeled) and s.failure_counts == {}
+            assert [r["graph"] for r in records] == labeled
+            assert calls == expected
 
     @pytest.mark.parametrize("oracle_edge_cap", [None, 14])
     def test_tree_count_error_is_tallied_on_its_graph(self, monkeypatch, oracle_edge_cap):
@@ -572,6 +617,20 @@ class TestCampaigns:
         path.write_text(write_graph(HEX))
         assert main(["check", str(path)]) == 1
         assert json.loads(capsys.readouterr().out)["reduction_ok"] is False
+
+    def test_campaign_records_are_verify_graph_records(self):
+        # Over all 5743 graphs with m*n <= 12, in mask order, the chunks'
+        # memo changes no record, and the stream hashes as it did when every
+        # graph ran every check in full.
+        pairs = [(m, n) for m in range(1, 13) for n in range(1, 12 // m + 1)]
+        records = []
+        s = verify_pairs(pairs, oracle_edge_cap=14, fail_fast=False, emit=records.append)
+        assert s.graphs_checked == len(records) == 5743 and s.failure_counts == {}
+        assert records == [
+            record_dict(verify_graph(g)) for m, n in sorted(pairs) for g in enumerate_connected(m, n)
+        ]
+        digest = hashlib.sha256("".join(map(json.dumps, records)).encode()).hexdigest()
+        assert digest.startswith("66f42a3f8492caeb")
 
     def test_summary_dict_shape(self):
         d = summary_dict(verify_pairs([(1, 1), (1, 2), (2, 1), (2, 2)]))
@@ -856,16 +915,16 @@ _FAULT_PAIRS = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
     [
         pytest.param(
             ("trees",), "leading_minors", _block_diagonal_last_plus_one,
-            {"tau": 173, "reduction": 80, "oracle": 80, "inequality": 76, "equality": 50},
+            {"tau": 179, "reduction": 74, "oracle": 74, "inequality": 74, "equality": 47},
             id="count-block-diagonal-last",
         ),
         pytest.param(
             ("trees",), "bit_indices", _indices_without_highest,
-            {"reduction": 220, "oracle": 220, "equality": 90}, id="count-drops-highest-index",
+            {"reduction": 210, "oracle": 210, "equality": 72}, id="count-drops-highest-index",
         ),
         pytest.param(
             ("trees",), "lcm", _lcm_without_last,
-            {"reduction": 90, "oracle": 90, "inequality": 90, "equality": 47, "tau": 15},
+            {"reduction": 149, "oracle": 149, "inequality": 149, "equality": 71},
             id="count-denominator-drops-last",
         ),
         pytest.param(
@@ -913,11 +972,13 @@ class TestFaultMatrix:
     block has a negative determinant, so dropping the sign of the last
     minor changes nothing either.  The three count-* rows break what the
     tree count reads to build D*S: its block's last diagonal entry, the
-    highest x of each neighborhood, and b_(n-1) in D.  A wrong block that leaves
-    prod(b) det(D*S) off a multiple of D^m is refused by the count itself
-    ("tau"); one that does not is a wrong count, which the brute-force
-    oracle and the reduction catch.  Every record a fault changes or loses
-    is caught.
+    highest x of each neighborhood, and b_(n-1) in D.  The count runs on the
+    short side with its neighborhoods sorted, so y_0, the one it deletes, is
+    the smallest neighborhood and b_(n-1) is the degree of the largest.  A
+    wrong block that leaves prod(b) det(D*S) off a multiple of D^m is
+    refused by the count itself ("tau"); one that does not is a wrong count,
+    which the brute-force oracle and the reduction catch.  Every record a
+    fault changes or loses is caught.
     """
 
     def test_categories_that_fire(self, monkeypatch, modules, name, fake, fired):
@@ -926,6 +987,26 @@ class TestFaultMatrix:
         s = verify_pairs(_FAULT_PAIRS, oracle_edge_cap=14, fail_fast=False)
         assert s.graphs_checked == s.oracle_checked == 253
         assert s.failure_counts == fired
+
+    def test_memo_hides_no_fault(self, monkeypatch, modules, name, fake, fired):
+        # A chunk's memo keys on all that its verdicts read: a fresh memo for
+        # every graph gives the same summary.  A fault patched after a sound
+        # campaign reaches the next one, so no state outlives a call.
+        def campaign():
+            d = summary_dict(verify_pairs(_FAULT_PAIRS, oracle_edge_cap=14, fail_fast=False))
+            del d["wall_time"]
+            return d
+
+        assert campaign()["failure_counts"] == {}
+        for module in modules:
+            monkeypatch.setattr(f"ferrers.{module}.{name}", fake)
+        shared = campaign()
+        assert shared["failure_counts"] == fired
+        monkeypatch.setattr(
+            "ferrers.verify._examine",
+            lambda g, brute, fail_fast, memo: _examine(g, brute, fail_fast, {}),
+        )
+        assert campaign() == shared
 
     def test_every_changed_record_is_caught(self, monkeypatch, modules, name, fake, fired):
         # What lets a cross-check go: a graph whose record the fault loses or
@@ -939,7 +1020,7 @@ class TestFaultMatrix:
         counts = Counter()
         for m, n in _FAULT_PAIRS:
             for g in enumerate_connected(m, n):
-                rec, bad = _examine(g, tau_brute_force(g), False)
+                rec, bad = _examine(g, tau_brute_force(g), False, {})
                 if rec is None or record_dict(rec) != sound[g]:
                     assert bad, write_graph(g)
                 counts.update(bad)
