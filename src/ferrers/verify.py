@@ -8,10 +8,10 @@ processes.  A campaign computes no eigenvalue: each category it tallies
 and a tree count's own "tau" error) is decided in exact arithmetic; the
 Jacobi report stays with the spectrum verb.  The oracle's counts come from
 one table per chunk of masks (trees._tree_table), built from the spanning
-trees of K_{m,n}, not from a search per graph.  Within a chunk the exact
-checks run once per sorted short side, the only thing they read; a raise is
-not kept.  A violation here would be a counterexample, so the offending
-graph is always serialized into the error.
+trees of K_{m,n}, not from a search per graph.  _verdicts decides every other
+verdict on the sorted short side: once per graph in verify_graph, once per key
+and chunk in a campaign (a raise is not kept).  A violation here would be a
+counterexample, so the offending graph is always serialized into the error.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .trees import tau_brute_force  # noqa: F401  (uncalled here; perfbench/span
 
 @dataclass(frozen=True)
 class VerificationRecord:
-    """One graph's exact verdicts; reduction_ok and majorizes are decided on the short side."""
+    """One graph's exact verdicts, all decided on its sorted short side by _verdicts."""
 
     graph: BipartiteGraph
     tau: int
@@ -91,20 +91,12 @@ def record_dict(rec: VerificationRecord) -> dict:
 def verify_graph(g: BipartiteGraph) -> VerificationRecord:
     """Verify one connected graph: bound, equality vs staircase shape, cross-checks.
 
-    tau, F and the staircase shape are the same for g and its transpose, and
-    for any relabeling of Y, so the checks run on _short_side(g), the short
-    side with its neighborhoods sorted: the tree count deletes the smallest
-    one.  The inequality and equality verdicts compare tau against
-    F = ferrers_invariant as exact rationals, with the degrees scaled_schur
-    returns.  The reduction identity and the exact majorization certificate
-    (certify_majorization) check the integer rows of D*M that scaled_schur
-    builds once; no eigenvalue is computed.  The certificate's elimination
-    gives det(D*M) to the reduction; when it fails, bareiss_det takes it on
-    a copy of the rows.  scaled_schur refuses a disconnected graph before
-    the tree count; one with an isolated vertex is not transposed.  The
-    record's graph and staircase verdict are those of g.  No memo is used.
+    No verdict changes under a transpose or a relabeling of Y (a staircase's
+    transpose is the staircase of the conjugate partition), so _verdicts
+    decides all seven on _short_side(g).  The record's graph and staircase
+    verdict are those of g.  No memo is used.
     """
-    return _record(g, _verdicts(BipartiteGraph(*_short_side(g))))
+    return VerificationRecord(g, *_verdicts(*_short_side(g)))
 
 
 def _short_side(g: BipartiteGraph) -> tuple[int, int, tuple[int, ...]]:
@@ -114,8 +106,20 @@ def _short_side(g: BipartiteGraph) -> tuple[int, int, tuple[int, ...]]:
     return g.m, g.n, tuple(sorted(g.nbrs))
 
 
-def _verdicts(h: BipartiteGraph) -> tuple[int, Fraction, bool, bool]:
-    """(tau, F, reduction_ok, majorizes) of a short side h; each reads only h.nbrs."""
+def _verdicts(
+    m: int, n: int, nbrs: tuple[int, ...]
+) -> tuple[int, Fraction, bool, bool, bool, bool, bool]:
+    """A record's fields after its graph, in order, for the short side h = (m, n, nbrs).
+
+    Each reads only nbrs; the tree count deletes the smallest neighborhood.
+    tau is compared with F = ferrers_invariant as exact rationals, and the
+    staircase verdict is is_ferrers(h).  The reduction identity and the
+    exact majorization certificate check the integer rows of D*M that
+    scaled_schur builds once (and refuses a disconnected h with); no
+    eigenvalue is computed.  The certificate's elimination gives det(D*M) to
+    the reduction; when it fails, bareiss_det takes it on a copy of the rows.
+    """
+    h = BipartiteGraph(m, n, nbrs)
     scaled = scaled_schur(h)
     tau = tau_matrix_tree(h)
     try:
@@ -128,13 +132,8 @@ def _verdicts(h: BipartiteGraph) -> tuple[int, Fraction, bool, bool]:
         reduction_ok = check_reduction(h, tau, scaled[0], scaled[2].b, det)
     except IdentityViolation:
         reduction_ok = False
-    return tau, ferrers_invariant(h, dd=scaled[2]), reduction_ok, majorizes
-
-
-def _record(g: BipartiteGraph, verdicts: tuple[int, Fraction, bool, bool]) -> VerificationRecord:
-    """g's record from the verdicts of its short side; the staircase test reads g itself."""
-    tau, F, reduction_ok, majorizes = verdicts
-    return VerificationRecord(g, tau, F, tau <= F, tau == F, is_ferrers(g), reduction_ok, majorizes)
+    F = ferrers_invariant(h, dd=scaled[2])
+    return tau, F, tau <= F, tau == F, is_ferrers(h), reduction_ok, majorizes
 
 
 @dataclass
@@ -198,10 +197,10 @@ def _examine(
     count must equal it.  No eigenvalue is computed: the majorization
     verdict is the record's exact certificate.
 
-    memo, shared only by graphs of one (m, n), maps a short side's sorted
-    neighborhoods to its _verdicts, which read nothing else, so a graph whose
-    key is there reuses them exactly and builds no sorted graph; a raise is
-    never stored.
+    memo, shared only by graphs of one (m, n), maps _short_side(g) to its
+    _verdicts, every record field but the graph, so a graph whose key is
+    there reuses them exactly and builds no sorted graph; a raise is never
+    stored.  Per graph only the key, the record and the oracle comparison run.
 
     Without fail_fast one graph's hard error is a category too, so a tally
     campaign goes on: an IdentityViolation from the checks, whose only
@@ -210,10 +209,10 @@ def _examine(
     fail_fast it propagates.
     """
     try:
-        m, n, key = _short_side(g)
+        key = _short_side(g)
         if key not in memo:
-            memo[key] = _verdicts(BipartiteGraph(m, n, key))
-        rec = _record(g, memo[key])
+            memo[key] = _verdicts(*key)
+        rec = VerificationRecord(g, *memo[key])
         bad = rec.failures
     except IdentityViolation:
         if fail_fast:
@@ -290,7 +289,7 @@ def verify_pairs(
     process that runs it, and each such graph's tree count is compared with
     its entry.  No eigenvalue is computed: majorization is decided by the
     exact certificate.  Each chunk keeps one memo (see _examine) from a
-    sorted short side to its verdicts, so the exact checks run once per key.
+    sorted short side to its verdicts, so every verdict is decided once a key.
     emit receives one JSON-ready record per graph that has one: a graph
     whose tree count failed has none.
     The masks are cut into chunks (m, n, lo, hi), and one loop absorbs each

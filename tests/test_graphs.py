@@ -234,6 +234,7 @@ class TestFerrersShape:
         xperm = data.draw(st.permutations(range(g.m)))
         yperm = data.draw(st.permutations(range(g.n)))
         assert is_ferrers(relabel(g, xperm, yperm)) == is_ferrers(g)
+        assert is_ferrers(_transpose(g)) == is_ferrers(g)
 
     @given(partitions())
     def test_every_staircase_detected(self, p):

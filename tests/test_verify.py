@@ -551,11 +551,16 @@ class TestCampaigns:
         # (2,7) spans two chunks of masks and (3,2) is transposed: the count
         # runs on each chunk's distinct sorted short sides, in order of first
         # appearance, while every labeled graph is still checked and emitted.
-        calls = []
+        # The staircase test runs on the same sorted graphs.
+        calls, staircase_calls = [], []
 
         def counting(g):
             calls.append(g)
             return trees.tau_matrix_tree(g)
+
+        def counting_staircase(g):
+            staircase_calls.append(g)
+            return is_ferrers(g)
 
         expected, labeled = [], []
         for m, n in ((2, 7), (3, 2)):
@@ -568,8 +573,10 @@ class TestCampaigns:
                 expected += [BipartiteGraph(min(m, n), max(m, n), key) for key in keys]
         assert len(set(expected)) < len(expected) < len(labeled) == 2059 + 19
         monkeypatch.setattr("ferrers.verify.tau_matrix_tree", counting)
+        monkeypatch.setattr("ferrers.verify.is_ferrers", counting_staircase)
         for oracle_edge_cap in (14, None):
             calls.clear()
+            staircase_calls.clear()
             records = []
             s = verify_pairs(
                 [(3, 2), (2, 7)], oracle_edge_cap=oracle_edge_cap, fail_fast=False,
@@ -579,6 +586,7 @@ class TestCampaigns:
             assert s.graphs_checked == len(labeled) and s.failure_counts == {}
             assert [r["graph"] for r in records] == labeled
             assert calls == expected
+            assert staircase_calls == expected
 
     @pytest.mark.parametrize("oracle_edge_cap", [None, 14])
     def test_tree_count_error_is_tallied_on_its_graph(self, monkeypatch, oracle_edge_cap):
