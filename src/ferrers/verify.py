@@ -93,8 +93,8 @@ def verify_graph(g: BipartiteGraph) -> VerificationRecord:
 
     No verdict changes under a transpose or a relabeling of Y (a staircase's
     transpose is the staircase of the conjugate partition), so _verdicts
-    decides all seven on _short_side(g).  The record's graph and staircase
-    verdict are those of g.  No memo is used.
+    decides every field but the graph on _short_side(g).  The record's graph
+    and staircase verdict are those of g.  No memo is used.
     """
     return VerificationRecord(g, *_verdicts(*_short_side(g)))
 
@@ -115,7 +115,7 @@ def _verdicts(
     tau is compared with F = ferrers_invariant as exact rationals, and the
     staircase verdict is is_ferrers(h).  The reduction identity and the
     exact majorization certificate check the integer rows of D*M that
-    scaled_schur builds once (and refuses a disconnected h with); no
+    scaled_schur builds once, after refusing a disconnected h; no
     eigenvalue is computed.  The certificate's elimination gives det(D*M) to
     the reduction; when it fails, bareiss_det takes it on a copy of the rows.
     """
@@ -289,7 +289,7 @@ def verify_pairs(
     process that runs it, and each such graph's tree count is compared with
     its entry.  No eigenvalue is computed: majorization is decided by the
     exact certificate.  Each chunk keeps one memo (see _examine) from a
-    sorted short side to its verdicts, so every verdict is decided once a key.
+    sorted short side to its verdicts, so every verdict is decided once per key.
     emit receives one JSON-ready record per graph that has one: a graph
     whose tree count failed has none.
     The masks are cut into chunks (m, n, lo, hi), and one loop absorbs each

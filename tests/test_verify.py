@@ -198,8 +198,9 @@ class TestVerifyGraph:
         assert checked == 5743
 
     def test_transpose_gives_the_same_record(self):
-        # tau, F and the staircase shape are the same for g and its
-        # transpose, and the checks on D*M take the short side of either.
+        # Every verdict is decided on the short side, the same for g and its
+        # transpose; is_ferrers's own transpose invariance, which makes that
+        # sound, is tested in test_graphs.py (test_label_invariant).
         checked = 0
         for m in range(1, 13):
             for n in range(1, 12 // m + 1):
