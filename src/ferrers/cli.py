@@ -170,7 +170,9 @@ def _cmd_verify(args) -> int:
             print(json.dumps(rec))
 
     corner = (args.m_max, args.n_max)  # refused before a list of m_max * n_max pairs
-    if min(corner) > 0 and args.m_max * args.n_max > args.cap:
+    if min(corner) < 1:
+        raise ValueError("no (m, n) pairs to verify")
+    if args.m_max * args.n_max > args.cap:
         raise CapExceeded(f"pair {corner} exceeds the enumeration cap {args.cap}")
     pairs = [(m, n) for m in range(1, args.m_max + 1) for n in range(1, args.n_max + 1)]
     summary = verify_pairs(pairs, cap=args.cap, workers=args.workers, emit=stream)

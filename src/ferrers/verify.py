@@ -1,17 +1,18 @@
 """Desk-scale verification campaigns for the tree-count bound.
 
 verify_graph checks a single connected graph with exact arithmetic;
-verify_pairs runs exhaustive labeled enumerations, aborts on the first
-violation (or tallies them all), and can split mask ranges across worker
-processes.  A campaign computes no eigenvalue: each category it tallies
-(inequality, equality, reduction, majorization, the brute-force "oracle",
-and a tree count's own "tau" error) is decided in exact arithmetic; the
-Jacobi report stays with the spectrum verb.  The oracle's counts come from
-one table per chunk of masks (trees._tree_table), built from the spanning
-trees of K_{m,n}, not from a search per graph.  _verdicts decides every other
-verdict on the sorted short side: once per graph in verify_graph, once per key
-and chunk in a campaign (a raise is not kept).  A violation here would be a
-counterexample, so the offending graph is always serialized into the error.
+verify_pairs runs exhaustive labeled enumerations, tallies every violation
+chunk by chunk (fail-fast stops at the first chunk with one), and can split
+mask ranges across worker processes.  A campaign computes no eigenvalue:
+each category it tallies (inequality, equality, reduction, majorization,
+the brute-force "oracle", and a tree count's own "tau" error) is decided in
+exact arithmetic; the Jacobi report stays with the spectrum verb.  The
+oracle's counts come from one table per chunk of masks (trees._tree_table),
+built from the spanning trees of K_{m,n}, not from a search per graph.
+_verdicts decides every other verdict on the sorted short side: once per
+graph in verify_graph, once per key and chunk in a campaign (a raise is not
+kept).  A violation here would be a counterexample, so the offending graph
+is always serialized into the error.
 """
 
 from __future__ import annotations
@@ -142,9 +143,9 @@ class CampaignSummary:
 
     dims is the campaign's rectangle (the largest m and n), or the chunk's
     pair.  failure_counts (a Counter) and failure_examples hold the failed
-    checks by category; they stay empty on the fail-fast path, where the
-    campaign aborts instead.  violations is their total.  oracle_checked counts
-    graphs whose tree count was also checked against the brute-force count.
+    checks by category (a fail-fast campaign stops at the first chunk with
+    one); violations is their total.  oracle_checked counts graphs whose
+    record's tree count was also checked against the brute-force count.
     A chunk leaves wall_time at 0; the campaign sets its own.
     """
 
@@ -187,7 +188,7 @@ def summary_dict(s: CampaignSummary) -> dict:
 
 
 def _examine(
-    g: BipartiteGraph, brute: int | None, fail_fast: bool, memo: dict
+    g: BipartiteGraph, brute: int | None, memo: dict
 ) -> tuple[VerificationRecord | None, list[str]]:
     """Record and failed categories for one graph.
 
@@ -202,11 +203,9 @@ def _examine(
     there reuses them exactly and builds no sorted graph; a raise is never
     stored.  Per graph only the key, the record and the oracle comparison run.
 
-    Without fail_fast one graph's hard error is a category too, so a tally
-    campaign goes on: an IdentityViolation from the checks, whose only
-    uncaught one is the tree count's, counts as "tau" and leaves the graph
-    without a record (and without the brute-force comparison).  With
-    fail_fast it propagates.
+    A hard error never stops the chunk (verify_pairs alone stops a campaign):
+    the tree count's IdentityViolation, the checks' only uncaught one, counts
+    as "tau" and leaves the graph with no record and no oracle comparison.
     """
     try:
         key = _short_side(g)
@@ -215,8 +214,6 @@ def _examine(
         rec = VerificationRecord(g, *memo[key])
         bad = rec.failures
     except IdentityViolation:
-        if fail_fast:
-            raise
         rec = None
         bad = ["tau"]
     if brute is not None and rec is not None and brute != rec.tau:
@@ -225,11 +222,12 @@ def _examine(
 
 
 def _run_chunk(
-    oracle_edge_cap: int | None, fail_fast: bool, collect: bool, chunk: tuple[int, int, int, int]
+    oracle_edge_cap: int | None, collect: bool, chunk: tuple[int, int, int, int]
 ) -> tuple[CampaignSummary, list[dict] | None]:
     """Tally (and records, when collect) of the connected graphs among masks lo..hi-1.
 
-    One memo of _verdicts for _examine serves the chunk and dies with it.
+    The chunk always runs to its end (verify_pairs alone stops a campaign);
+    one memo of _verdicts for _examine serves it and dies with it.
     """
     m, n, lo, hi = chunk
     tally = CampaignSummary((m, n))
@@ -245,19 +243,17 @@ def _run_chunk(
         g = graph_from_mask(m, n, mask)
         oracled = mask.bit_count() <= oracle_cap
         try:
-            rec, bad = _examine(g, table[mask - lo] if oracled else None, fail_fast, memo)
+            rec, bad = _examine(g, table[mask - lo] if oracled else None, memo)
         except Exception as exc:  # same type, so callers still catch it; now it names g
             raise type(exc)(f"{exc} for:\n{write_graph(g)}") from exc
         tally.graphs_checked += 1
-        tally.oracle_checked += oracled
         if rec is not None:
+            tally.oracle_checked += oracled
             tally.equality_cases += rec.equality
             tally.ferrers_count += rec.ferrers
         if bad:
             values = "" if rec is None else f" for tau={rec.tau}, F={rat_str(rec.F)}"
             dump = f"{', '.join(bad)} failed{values}:\n{write_graph(g)}"
-            if fail_fast:
-                raise TheoremViolation(dump)
             tally.failure_counts.update(bad)
             for category in bad:
                 tally.failure_examples.setdefault(category, dump)
@@ -280,23 +276,23 @@ def verify_pairs(
 ) -> CampaignSummary:
     """Exhaustively verify every connected labeled graph for the given part sizes.
 
-    Each (m, n) pair must respect the enumeration cap.  With fail_fast the
-    first violating graph aborts the whole campaign inside a TheoremViolation;
-    otherwise violations are tallied per category, and so is a tree count's
-    IdentityViolation ("tau").  oracle_edge_cap turns on the brute-force
-    tree count for graphs with at most that many edges: each chunk that can
-    hold such a graph builds one _tree_table of its masks' counts, in the
-    process that runs it, and each such graph's tree count is compared with
-    its entry.  No eigenvalue is computed: majorization is decided by the
-    exact certificate.  Each chunk keeps one memo (see _examine) from a
-    sorted short side to its verdicts, so every verdict is decided once per key.
-    emit receives one JSON-ready record per graph that has one: a graph
-    whose tree count failed has none.
+    Each (m, n) pair must respect the enumeration cap.  Every chunk tallies
+    failures per category, a tree count's IdentityViolation ("tau") too; with
+    fail_fast this loop alone stops, raising the first failing graph's dump
+    in a TheoremViolation before that chunk is absorbed or emitted.
+    oracle_edge_cap turns on the brute-force tree count for graphs with at
+    most that many edges: each chunk that can hold such a graph builds one
+    _tree_table of its masks' counts, in the process that runs it, and each
+    such graph's tree count is compared with its entry.  No eigenvalue is
+    computed: majorization is decided by the exact certificate.  Each chunk
+    keeps one memo (see _examine) from a sorted short side to its verdicts,
+    so every verdict is decided once per key.  emit receives one JSON-ready
+    record per graph that has one: a graph whose tree count failed has none.
     The masks are cut into chunks (m, n, lo, hi), and one loop absorbs each
     chunk's CampaignSummary and records in mask order: None runs the chunks
-    in turn, workers > 1 runs them in a pool of at most one process per
-    chunk, and a value below 1 is a ValueError.  Any other exception raised
-    while checking one graph is re-raised with its type and that graph added.
+    in turn, workers > 1 runs them in a pool of at most one process per chunk,
+    and a value below 1 is a ValueError.  Any other exception raised while
+    checking one graph is re-raised with its type and that graph added.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -314,7 +310,7 @@ def verify_pairs(
         for m, n in pair_list
         for lo in range(0, 1 << (m * n), _CHUNK_MASKS)
     ]
-    run = partial(_run_chunk, oracle_edge_cap, fail_fast, emit is not None)
+    run = partial(_run_chunk, oracle_edge_cap, emit is not None)
     summary = CampaignSummary((max(m for m, _ in pair_list), max(n for _, n in pair_list)))
     if workers is not None and workers > 1 and len(chunks) > 1:
         from multiprocessing import Pool  # only campaigns with workers pay for the import
@@ -324,6 +320,8 @@ def verify_pairs(
         runner = nullcontext()
     with runner as pool:
         for tally, records in map(run, chunks) if pool is None else pool.imap(run, chunks):
+            if fail_fast and tally.violations:
+                raise TheoremViolation(next(iter(tally.failure_examples.values())))
             summary.absorb(tally)
             if emit is not None:
                 for rec in records:

@@ -338,7 +338,9 @@ class TestVerify:
         assert peak < 1 << 20
         assert "pair (1000, 1000) exceeds the enumeration cap 20" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [["0", "3"], ["3", "0"]])
+    @pytest.mark.parametrize(
+        "argv", [["0", "3"], ["3", "0"], ["1000000000000", "0"], ["1000000000000", "-3"]]
+    )
     def test_empty_range_is_input_error(self, argv, capsys):
         assert main(["verify", *argv]) == 2
         assert "no (m, n) pairs to verify" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import signal
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ferrers.errors import (
@@ -52,6 +52,22 @@ def partitions(draw, max_m=6, max_n=5):
     for _ in range(n - 1):
         heights.append(draw(st.integers(1, heights[-1])))
     return PartitionSpec(tuple(heights))
+
+
+def no_isolated_vertex(g: BipartiteGraph) -> bool:
+    return 0 not in g.nbrs and all(any(t >> i & 1 for t in g.nbrs) for i in range(g.m))
+
+
+def conjugate_degrees(g: BipartiteGraph) -> bool:
+    """The equality case of Gale-Ryser (Gale 1957, Ryser 1957), read from degrees only.
+
+    With no isolated vertex, a bipartite graph is a staircase exactly when its
+    X-degrees, sorted decreasing, are the conjugate of its Y-degrees: the
+    staircase is then the only 0-1 matrix with those row and column sums.
+    """
+    xdeg = sorted((sum(t >> i & 1 for t in g.nbrs) for i in range(g.m)), reverse=True)
+    ydeg = [t.bit_count() for t in g.nbrs]
+    return xdeg == [sum(d >= i for d in ydeg) for i in range(1, g.m + 1)]
 
 
 def relabel(g: BipartiteGraph, xperm, yperm) -> BipartiteGraph:
@@ -239,6 +255,22 @@ class TestFerrersShape:
     @given(partitions())
     def test_every_staircase_detected(self, p):
         assert is_ferrers(ferrers_from_partition(p))
+
+    @given(graphs(min_nbr=1))
+    def test_matches_conjugate_degrees(self, g):
+        assume(no_isolated_vertex(g))
+        assert is_ferrers(g) == conjugate_degrees(g)
+
+    def test_matches_conjugate_degrees_exhaustively(self):
+        # Every graph with no isolated vertex on every pair with m*n <= 12.
+        checked = 0
+        for m in range(1, 13):
+            for n in range(1, 12 // m + 1):
+                for mask in range(1 << (m * n)):
+                    if no_isolated_vertex(g := graph_from_mask(m, n, mask)):
+                        checked += 1
+                        assert is_ferrers(g) == conjugate_degrees(g), write_graph(g)
+        assert checked == 6761
 
 
 class TestPartitions:

@@ -315,7 +315,7 @@ class TestSharedDataCounts:
     def test_oracled_graph(self, calls):
         # The brute-force table reads only the masks: no guard and no degree count.
         hex_mask = sum(t << (3 * j) for j, t in enumerate(HEX.nbrs))
-        rec, bad = _examine(HEX, trees._tree_table(3, 3, 0, 1 << 9)[hex_mask], True, {})
+        rec, bad = _examine(HEX, trees._tree_table(3, 3, 0, 1 << 9)[hex_mask], {})
         assert rec.tau == 6 and bad == []
         assert calls == {"degrees": 1, "is_connected": 1}
 
@@ -443,6 +443,24 @@ class TestCampaigns:
             messages.append(str(exc.value))
         assert write_graph(graph_from_mask(2, 7, first)) in messages[0]
         assert messages[1] == messages[0]
+
+    def test_fail_fast_stops_before_emitting_the_failing_chunk(self, monkeypatch):
+        # The staircase verdict is wrong on (2,7) short sides only, so every
+        # (2,7) graph fails "equality" and the (2,2) chunk ahead of it is sound.
+        sound = []
+        verify_pairs([(2, 2)], emit=sound.append)
+        monkeypatch.setattr("ferrers.verify.is_ferrers", lambda h: is_ferrers(h) != (h.n == 7))
+        first_dump = verify_pairs([(2, 7)], fail_fast=False).failure_examples["equality"]
+        first = next(
+            g for mask in range(1 << 14) if is_connected(g := graph_from_mask(2, 7, mask))
+        )
+        assert first_dump.endswith(f":\n{write_graph(first)}")
+        for workers in (None, 2):
+            emitted = []
+            with pytest.raises(TheoremViolation) as exc:
+                verify_pairs([(2, 2), (2, 7)], workers=workers, emit=emitted.append)
+            assert str(exc.value) == first_dump
+            assert emitted == sound and len(sound) == 5
 
     def test_unexpected_exception_names_its_graph_serial_and_pool(self, monkeypatch):
         # (2,7) spans two chunks of masks, so workers=2 really runs the pool.
@@ -593,8 +611,8 @@ class TestCampaigns:
     def test_tree_count_error_is_tallied_on_its_graph(self, monkeypatch, oracle_edge_cap):
         # The count raises on K_{2,2} only, whose block D*S is built as its
         # upper triangle [[3, -1], [0, 3]]: a tally campaign counts "tau" on
-        # it, with or without the oracles, and goes on; fail-fast raises with
-        # the graph named.
+        # it, with or without the oracles, and goes on; fail-fast raises that
+        # same dump.
         def broken_on_k22(rows):
             if rows == [[3, -1], [0, 3]]:
                 raise IdentityViolation("corrupted closed form")
@@ -606,12 +624,13 @@ class TestCampaigns:
             [(2, 2)], oracle_edge_cap=oracle_edge_cap, fail_fast=False, emit=records.append
         )
         assert s.graphs_checked == 5
+        assert s.oracle_checked == (4 if oracle_edge_cap else 0)
         assert s.failure_counts == {"tau": 1}
         head, text = s.failure_examples["tau"].split(":\n", 1)
         assert head.startswith("tau") and text == write_graph(K22)
         assert len(records) == 4 and write_graph(K22) not in [r["graph"] for r in records]
         assert s.equality_cases == s.ferrers_count == 4
-        with pytest.raises(IdentityViolation, match=re.escape(f"for:\n{write_graph(K22)}")):
+        with pytest.raises(TheoremViolation, match=re.escape(f"tau failed:\n{write_graph(K22)}")):
             verify_pairs([(2, 2)], oracle_edge_cap=oracle_edge_cap)
 
     def test_failed_reduction_check_counts_in_campaigns_and_check(self, corrupt, tmp_path, capsys):
@@ -994,7 +1013,8 @@ class TestFaultMatrix:
         for module in modules:
             monkeypatch.setattr(f"ferrers.{module}.{name}", fake)
         s = verify_pairs(_FAULT_PAIRS, oracle_edge_cap=14, fail_fast=False)
-        assert s.graphs_checked == s.oracle_checked == 253
+        assert s.graphs_checked == 253
+        assert s.oracle_checked == 253 - fired.get("tau", 0)  # a failed count has no record
         assert s.failure_counts == fired
 
     def test_memo_hides_no_fault(self, monkeypatch, modules, name, fake, fired):
@@ -1013,7 +1033,7 @@ class TestFaultMatrix:
         assert shared["failure_counts"] == fired
         monkeypatch.setattr(
             "ferrers.verify._examine",
-            lambda g, brute, fail_fast, memo: _examine(g, brute, fail_fast, {}),
+            lambda g, brute, memo: _examine(g, brute, {}),
         )
         assert campaign() == shared
 
@@ -1029,7 +1049,7 @@ class TestFaultMatrix:
         counts = Counter()
         for m, n in _FAULT_PAIRS:
             for g in enumerate_connected(m, n):
-                rec, bad = _examine(g, tau_brute_force(g), False, {})
+                rec, bad = _examine(g, tau_brute_force(g), {})
                 if rec is None or record_dict(rec) != sound[g]:
                     assert bad, write_graph(g)
                 counts.update(bad)
