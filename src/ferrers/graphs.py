@@ -110,26 +110,19 @@ def _covers(m: int, nbrs: Sequence[int]) -> bool:
 
 
 def _nbrs_connected(m: int, nbrs: Sequence[int]) -> bool:
-    # Fixpoint reachability over Y-neighborhood bitsets, seeded at x_0.
-    if not _covers(m, nbrs):
+    # Closure over X from N(y_0): a neighborhood that meets the x-set joins it,
+    # until none adds to it.  With no empty neighborhood the graph is connected
+    # exactly when the closure is all of X; counting its bits builds no m-bit integer.
+    if not all(nbrs):
         return False
-    full = (1 << m) - 1
-    seen_x = 1
-    seen_y = 0
-    n = len(nbrs)
+    seen = nbrs[0]
     while True:
-        grew = False
-        for j in range(n):
-            if not (seen_y >> j) & 1:
-                t = nbrs[j]
-                if t & seen_x:
-                    seen_y |= 1 << j
-                    seen_x |= t
-                    grew = True
-        if seen_x == full and seen_y == (1 << n) - 1:
-            return True
-        if not grew:
-            return False
+        before = seen
+        for t in nbrs:
+            if t & seen:
+                seen |= t
+        if seen == before:
+            return seen.bit_count() == m
 
 
 def is_connected(g: BipartiteGraph) -> bool:

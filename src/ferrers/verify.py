@@ -11,7 +11,10 @@ oracle's counts come from one table per chunk of masks (trees._tree_table),
 built from the spanning trees of K_{m,n}, not from a search per graph.
 _verdicts decides every other verdict on the sorted short side: once per
 graph in verify_graph, once per key and chunk in a campaign (a raise is not
-kept).  A violation here would be a counterexample, so the offending graph
+kept).  Per labeled mask a campaign runs only the connectivity test, the
+key (_mask_key, read from the mask), one memo read and the oracle
+comparison; it builds the graph only for a record, a failure dump or an
+error.  A violation here would be a counterexample, so the offending graph
 is always serialized into the error.
 """
 
@@ -66,13 +69,22 @@ class VerificationRecord:
     @property
     def failures(self) -> list[str]:
         """Failed categories in campaign order: inequality, equality, reduction, majorization."""
-        checks = (
-            ("inequality", self.inequality_ok),
-            ("equality", self.equality == self.ferrers),
-            ("reduction", self.reduction_ok),
-            ("majorization", self.majorizes),
+        return _failures(
+            self.inequality_ok, self.equality, self.ferrers, self.reduction_ok, self.majorizes
         )
-        return [category for category, ok in checks if not ok]
+
+
+def _failures(
+    inequality_ok: bool, equality: bool, ferrers: bool, reduction_ok: bool, majorizes: bool
+) -> list[str]:
+    """Failed categories of a record's verdicts after tau and F, in campaign order."""
+    checks = (
+        ("inequality", inequality_ok),
+        ("equality", equality == ferrers),
+        ("reduction", reduction_ok),
+        ("majorization", majorizes),
+    )
+    return [category for category, ok in checks if not ok]
 
 
 def record_dict(rec: VerificationRecord) -> dict:
@@ -105,6 +117,24 @@ def _short_side(g: BipartiteGraph) -> tuple[int, int, tuple[int, ...]]:
     if g.m > g.n and _covers(g.m, g.nbrs):
         g = _transpose(g)
     return g.m, g.n, tuple(sorted(g.nbrs))
+
+
+def _mask_key(m: int, n: int, mask: int) -> tuple[int, int, tuple[int, ...]]:
+    """_short_side(graph_from_mask(m, n, mask)) for a connected mask, read from the mask alone.
+
+    For m > n the short side's neighborhoods are the rows: row i holds bit i
+    of every column.  (mask >> i) & spread keeps those bits, column j's at
+    j*m, and one product with gather moves each to (n-1)*m + j.  Gather's
+    term k puts column j's bit at (n-1+j-k)*m + k, and k < m keeps every such
+    bit in a place of its own, so nothing carries into the row.
+    """
+    full = (1 << m) - 1
+    if m <= n:
+        return m, n, tuple(sorted([(mask >> s) & full for s in range(0, m * n, m)]))
+    spread = ((1 << m * n) - 1) // full  # bits 0, m, ..., (n-1)*m
+    gather = ((1 << (m - 1) * n) - 1) // ((1 << m - 1) - 1) << n - 1  # bits (n-1-k)*m + k
+    top, low = (n - 1) * m, (1 << n) - 1
+    return n, m, tuple(sorted([((mask >> i) & spread) * gather >> top & low for i in range(m)]))
 
 
 def _verdicts(
@@ -188,37 +218,36 @@ def summary_dict(s: CampaignSummary) -> dict:
 
 
 def _examine(
-    g: BipartiteGraph, brute: int | None, memo: dict
-) -> tuple[VerificationRecord | None, list[str]]:
-    """Record and failed categories for one graph.
+    key: tuple[int, int, tuple[int, ...]], brute: int | None, memo: dict
+) -> tuple[tuple | None, tuple[str, ...]]:
+    """Verdicts and failed categories for one labeled graph, given its _mask_key.
 
-    brute is g's brute-force tree count from its chunk's _tree_table, or
-    None when the oracle is off for g; the table reads only the masks, so it
-    shares no code with the Laplacian minor it checks, and the record's tree
-    count must equal it.  No eigenvalue is computed: the majorization
-    verdict is the record's exact certificate.
+    brute is the graph's brute-force tree count from its chunk's _tree_table,
+    or None when the oracle is off for it; the table reads only the masks, so
+    it shares no code with the Laplacian minor it checks, and the tree count
+    must equal it.  No eigenvalue is computed: the majorization verdict is
+    the exact certificate.
 
-    memo, shared only by graphs of one (m, n), maps _short_side(g) to its
-    _verdicts, every record field but the graph, so a graph whose key is
-    there reuses them exactly and builds no sorted graph; a raise is never
-    stored.  Per graph only the key, the record and the oracle comparison run.
+    memo, shared only by graphs of one (m, n), maps a key to its _verdicts,
+    every record field but the graph, and to their _failures; a raise is never
+    stored.  A graph whose key is there runs only the memo read and the
+    oracle comparison, and builds no graph.
 
     A hard error never stops the chunk (verify_pairs alone stops a campaign):
     the tree count's IdentityViolation, the checks' only uncaught one, counts
-    as "tau" and leaves the graph with no record and no oracle comparison.
+    as "tau" and leaves the graph with no verdicts and no oracle comparison.
     """
-    try:
-        key = _short_side(g)
-        if key not in memo:
-            memo[key] = _verdicts(*key)
-        rec = VerificationRecord(g, *memo[key])
-        bad = rec.failures
-    except IdentityViolation:
-        rec = None
-        bad = ["tau"]
-    if brute is not None and rec is not None and brute != rec.tau:
-        bad.append("oracle")
-    return rec, bad
+    entry = memo.get(key)
+    if entry is None:
+        try:
+            verdicts = _verdicts(*key)
+        except IdentityViolation:
+            return None, ("tau",)
+        entry = memo[key] = verdicts, tuple(_failures(*verdicts[2:]))
+    verdicts, bad = entry
+    if brute is not None and brute != verdicts[0]:
+        bad += ("oracle",)
+    return verdicts, bad
 
 
 def _run_chunk(
@@ -226,8 +255,11 @@ def _run_chunk(
 ) -> tuple[CampaignSummary, list[dict] | None]:
     """Tally (and records, when collect) of the connected graphs among masks lo..hi-1.
 
-    The chunk always runs to its end (verify_pairs alone stops a campaign);
-    one memo of _verdicts for _examine serves it and dies with it.
+    Per mask: _mask_connected, and for a connected one its _mask_key, one
+    memo read in _examine and the oracle comparison.  The labeled graph is
+    built only to emit its record, to dump a failure, or to name it in a
+    re-raised exception.  The chunk always runs to its end (verify_pairs
+    alone stops a campaign); one memo of _verdicts serves it and dies with it.
     """
     m, n, lo, hi = chunk
     tally = CampaignSummary((m, n))
@@ -240,25 +272,31 @@ def _run_chunk(
     for mask in range(lo, hi):
         if not _mask_connected(m, n, mask):
             continue
-        g = graph_from_mask(m, n, mask)
         oracled = mask.bit_count() <= oracle_cap
         try:
-            rec, bad = _examine(g, table[mask - lo] if oracled else None, memo)
-        except Exception as exc:  # same type, so callers still catch it; now it names g
-            raise type(exc)(f"{exc} for:\n{write_graph(g)}") from exc
+            verdicts, bad = _examine(
+                _mask_key(m, n, mask), table[mask - lo] if oracled else None, memo
+            )
+        except Exception as exc:  # same type, so callers still catch it; now it names the graph
+            raise type(exc)(f"{exc} for:\n{write_graph(graph_from_mask(m, n, mask))}") from exc
         tally.graphs_checked += 1
-        if rec is not None:
+        if verdicts is not None:
+            tau, F, _, equality, ferrers, _, _ = verdicts
             tally.oracle_checked += oracled
-            tally.equality_cases += rec.equality
-            tally.ferrers_count += rec.ferrers
+            tally.equality_cases += equality
+            tally.ferrers_count += ferrers
+        if not bad and records is None:
+            continue
+        # Only a failure dump or a record needs the graph (no verdicts means "tau" failed).
+        g = graph_from_mask(m, n, mask)
         if bad:
-            values = "" if rec is None else f" for tau={rec.tau}, F={rat_str(rec.F)}"
+            values = "" if verdicts is None else f" for tau={tau}, F={rat_str(F)}"
             dump = f"{', '.join(bad)} failed{values}:\n{write_graph(g)}"
             tally.failure_counts.update(bad)
             for category in bad:
                 tally.failure_examples.setdefault(category, dump)
-        if records is not None and rec is not None:
-            records.append(record_dict(rec))
+        if records is not None and verdicts is not None:
+            records.append(record_dict(VerificationRecord(g, *verdicts)))
     return tally, records
 
 
@@ -285,9 +323,13 @@ def verify_pairs(
     _tree_table of its masks' counts, in the process that runs it, and each
     such graph's tree count is compared with its entry.  No eigenvalue is
     computed: majorization is decided by the exact certificate.  Each chunk
-    keeps one memo (see _examine) from a sorted short side to its verdicts,
-    so every verdict is decided once per key.  emit receives one JSON-ready
-    record per graph that has one: a graph whose tree count failed has none.
+    keeps one memo (see _examine) from a sorted short side, read from the
+    mask by _mask_key, to its verdicts, so every verdict is decided once per
+    key and a labeled graph costs its connectivity test, its key, one memo
+    read and its oracle comparison (see _run_chunk).  emit receives one
+    JSON-ready record per graph that has one (a graph whose tree count
+    failed has none); a labeled graph is built only for such a record or
+    for a failure dump.
     The masks are cut into chunks (m, n, lo, hi), and one loop absorbs each
     chunk's CampaignSummary and records in mask order: None runs the chunks
     in turn, workers > 1 runs them in a pool of at most one process per chunk,

@@ -82,3 +82,24 @@ def test_sweep_check_reads_a_real_summary():
         assert hasattr(summary, name)
     # Every connected (2,2) graph is a staircase.
     assert _perfbench("checks").check_sweep(summary, {"graphs": 5, "staircases": 5}) == []
+
+
+def test_campaigns_scan_every_mask_through_the_traced_name(monkeypatch):
+    # A traced sweep-oracle run counts the masks each pass scans by rebinding
+    # ferrers.verify._mask_connected, and is refused as incorrect unless the
+    # count is 2^(mn) per pair: a mask walk that skips masks, or that tests
+    # connectivity under another name, fails the benchmark.
+    inputs = _perfbench("inputs")
+    scanned = []
+
+    def counting(m, n, mask, real=ferrers.verify._mask_connected):
+        scanned.append(mask)
+        return real(m, n, mask)
+
+    monkeypatch.setattr("ferrers.verify._mask_connected", counting)
+    pairs = inputs.sweep()
+    for m, n in pairs:
+        scanned.clear()
+        verify_pairs([(m, n)], oracle_edge_cap=inputs.ORACLE_EDGES, fail_fast=False)
+        assert scanned == list(range(1 << (m * n))), (m, n)
+    assert sorted(pairs) == [(m, n) for m in range(1, 13) for n in range(1, 12 // m + 1)]

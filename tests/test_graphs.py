@@ -70,6 +70,22 @@ def conjugate_degrees(g: BipartiteGraph) -> bool:
     return xdeg == [sum(d >= i for d in ydeg) for i in range(1, g.m + 1)]
 
 
+def union_find_connected(m: int, n: int, mask: int) -> bool:
+    """Whether the graph of a column-wise mask is connected, by union-find over its bits alone."""
+    parent = list(range(m + n))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for bit in range(m * n):
+        if mask >> bit & 1:
+            parent[find(bit % m)] = find(m + bit // m)
+    return len({find(v) for v in range(m + n)}) == 1
+
+
 def relabel(g: BipartiteGraph, xperm, yperm) -> BipartiteGraph:
     """Independent relabeling helper: xperm[i] is the new index of x_i."""
     moved = []
@@ -197,14 +213,19 @@ class TestConnectivity:
         assert peak < 1 << 20
 
     def test_mask_scan_matches_is_connected(self):
-        # The campaigns' mask test stops at the first empty column; it must
-        # agree with the graph built from the whole mask on every mask of
-        # every pair with m*n <= 12.
+        # The campaigns' mask test stops at the first empty column, and it
+        # shares its closure with is_connected: both must agree with a
+        # union-find over the raw mask bits on every mask of every pair with
+        # m*n <= 12.
+        connected = 0
         for m in range(1, 13):
             for n in range(1, 12 // m + 1):
                 for mask in range(1 << (m * n)):
-                    expected = is_connected(graph_from_mask(m, n, mask))
+                    expected = union_find_connected(m, n, mask)
                     assert _mask_connected(m, n, mask) == expected, (m, n, mask)
+                    assert is_connected(graph_from_mask(m, n, mask)) == expected, (m, n, mask)
+                    connected += expected
+        assert connected == 5743
 
     @given(graphs())
     def test_matches_union_find(self, g):

@@ -41,8 +41,11 @@ from ferrers.spectral import majorization_report
 from ferrers.trees import tau_brute_force
 from ferrers.verify import (
     _CHUNK_MASKS,
+    VerificationRecord,
     _corollary_sides,
     _examine,
+    _mask_key,
+    _short_side,
     corollary_check,
     equality_flag_diagonalization,
     record_dict,
@@ -315,8 +318,9 @@ class TestSharedDataCounts:
     def test_oracled_graph(self, calls):
         # The brute-force table reads only the masks: no guard and no degree count.
         hex_mask = sum(t << (3 * j) for j, t in enumerate(HEX.nbrs))
-        rec, bad = _examine(HEX, trees._tree_table(3, 3, 0, 1 << 9)[hex_mask], {})
-        assert rec.tau == 6 and bad == []
+        brute = trees._tree_table(3, 3, 0, 1 << 9)[hex_mask]
+        verdicts, bad = _examine(_mask_key(3, 3, hex_mask), brute, {})
+        assert verdicts[0] == 6 and bad == ()
         assert calls == {"degrees": 1, "is_connected": 1}
 
     def test_flag_diagonalization(self, calls):
@@ -606,6 +610,38 @@ class TestCampaigns:
             assert [r["graph"] for r in records] == labeled
             assert calls == expected
             assert staircase_calls == expected
+
+    def test_mask_key_is_the_short_side(self):
+        # A chunk keys its memo on the mask alone; the key must be the sorted
+        # short side that verify_graph decides on, transposed bit by bit when
+        # m > n, for every connected mask with m*n <= 12.
+        checked = 0
+        for m in range(1, 13):
+            for n in range(1, 12 // m + 1):
+                for mask in range(1 << (m * n)):
+                    if is_connected(g := graph_from_mask(m, n, mask)):
+                        assert _mask_key(m, n, mask) == _short_side(g), (m, n, mask)
+                        checked += 1
+        assert checked == 5743
+
+    def test_graph_built_only_to_emit(self, monkeypatch):
+        # A sound tally campaign builds no labeled graph; with emit it builds
+        # each one once, for its record.  (2,7) spans two chunks and (3,2) is
+        # transposed.
+        built = []
+
+        def counting(m, n, mask):
+            built.append((m, n, mask))
+            return graph_from_mask(m, n, mask)
+
+        monkeypatch.setattr("ferrers.verify.graph_from_mask", counting)
+        s = verify_pairs([(2, 7), (3, 2)], oracle_edge_cap=14, fail_fast=False)
+        assert s.graphs_checked == 2059 + 19 and s.failure_counts == {}
+        assert built == []
+        records = []
+        s = verify_pairs([(2, 7), (3, 2)], oracle_edge_cap=14, emit=records.append)
+        assert len(built) == len(set(built)) == len(records) == s.graphs_checked
+        assert [write_graph(graph_from_mask(*b)) for b in built] == [r["graph"] for r in records]
 
     @pytest.mark.parametrize("oracle_edge_cap", [None, 14])
     def test_tree_count_error_is_tallied_on_its_graph(self, monkeypatch, oracle_edge_cap):
@@ -1031,11 +1067,15 @@ class TestFaultMatrix:
             monkeypatch.setattr(f"ferrers.{module}.{name}", fake)
         shared = campaign()
         assert shared["failure_counts"] == fired
-        monkeypatch.setattr(
-            "ferrers.verify._examine",
-            lambda g, brute, memo: _examine(g, brute, {}),
-        )
+        fresh = []
+
+        def fresh_memo(key, brute, memo):
+            fresh.append(key)
+            return _examine(key, brute, {})
+
+        monkeypatch.setattr("ferrers.verify._examine", fresh_memo)
         assert campaign() == shared
+        assert len(fresh) == 253  # the campaign reached the fresh-memo route on every graph
 
     def test_every_changed_record_is_caught(self, monkeypatch, modules, name, fake, fired):
         # What lets a cross-check go: a graph whose record the fault loses or
@@ -1048,9 +1088,11 @@ class TestFaultMatrix:
             monkeypatch.setattr(f"ferrers.{module}.{name}", fake)
         counts = Counter()
         for m, n in _FAULT_PAIRS:
-            for g in enumerate_connected(m, n):
-                rec, bad = _examine(g, tau_brute_force(g), {})
-                if rec is None or record_dict(rec) != sound[g]:
+            for mask in range(1 << (m * n)):
+                if not is_connected(g := graph_from_mask(m, n, mask)):
+                    continue
+                verdicts, bad = _examine(_mask_key(m, n, mask), tau_brute_force(g), {})
+                if verdicts is None or record_dict(VerificationRecord(g, *verdicts)) != sound[g]:
                     assert bad, write_graph(g)
                 counts.update(bad)
         assert len(sound) == 253
