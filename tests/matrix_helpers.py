@@ -5,8 +5,9 @@ tests the zero and identity matrices, principal submatrices, the adjugate
 and matrix-vector products of a RationalMatrix, the full (m+n)^2 integer
 Laplacian (the package builds only short-side blocks), the Schur complement
 L_X built from that Laplacian alone, every deletion minor of integer rows
-(a reference route for the closed-form tree count), and the spanning-tree
-list behind the reference route of the weighted corollary.
+(a reference route for the closed-form tree count), the spanning-tree
+list behind the reference route of the weighted corollary, and a
+union-find connectivity test that reads only a mask's bits.
 """
 
 from collections import Counter
@@ -163,3 +164,19 @@ def corollary_sides(g: BipartiteGraph, z) -> tuple[Fraction, Fraction]:
     for t in g.nbrs:
         rhs *= sum(xw[i] for i in range(g.m) if (t >> i) & 1)
     return tree_sum * sum(xw) * sum(yw), rhs
+
+
+def union_find_connected(m: int, n: int, mask: int) -> bool:
+    """Whether the graph of a column-wise mask is connected, by union-find over its bits alone."""
+    parent = list(range(m + n))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for bit in range(m * n):
+        if mask >> bit & 1:
+            parent[find(bit % m)] = find(m + bit // m)
+    return len({find(v) for v in range(m + n)}) == 1

@@ -32,6 +32,7 @@ from ferrers.graphs import (
     write_graph,
 )
 from ferrers.trees import tau_matrix_tree
+from matrix_helpers import union_find_connected
 
 HEX = BipartiteGraph(3, 3, (0b011, 0b110, 0b101))
 K22 = BipartiteGraph(2, 2, (0b11, 0b11))
@@ -68,22 +69,6 @@ def conjugate_degrees(g: BipartiteGraph) -> bool:
     xdeg = sorted((sum(t >> i & 1 for t in g.nbrs) for i in range(g.m)), reverse=True)
     ydeg = [t.bit_count() for t in g.nbrs]
     return xdeg == [sum(d >= i for d in ydeg) for i in range(1, g.m + 1)]
-
-
-def union_find_connected(m: int, n: int, mask: int) -> bool:
-    """Whether the graph of a column-wise mask is connected, by union-find over its bits alone."""
-    parent = list(range(m + n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for bit in range(m * n):
-        if mask >> bit & 1:
-            parent[find(bit % m)] = find(m + bit // m)
-    return len({find(v) for v in range(m + n)}) == 1
 
 
 def relabel(g: BipartiteGraph, xperm, yperm) -> BipartiteGraph:

@@ -53,7 +53,7 @@ from ferrers.verify import (
     verify_graph,
     verify_pairs,
 )
-from matrix_helpers import corollary_sides
+from matrix_helpers import corollary_sides, union_find_connected
 
 HEX = BipartiteGraph(3, 3, (0b011, 0b110, 0b101))
 K22 = BipartiteGraph(2, 2, (0b11, 0b11))
@@ -67,22 +67,7 @@ def complete(m, n):
 
 def oracle_connected_count(m, n):
     """Union-find over raw masks; deliberately independent of the library."""
-    count = 0
-    for mask in range(1 << (m * n)):
-        parent = list(range(m + n))
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for bit in range(m * n):
-            if (mask >> bit) & 1:
-                parent[find(bit % m)] = find(m + bit // m)
-        if len({find(v) for v in range(m + n)}) == 1:
-            count += 1
-    return count
+    return sum(union_find_connected(m, n, mask) for mask in range(1 << (m * n)))
 
 
 @st.composite
